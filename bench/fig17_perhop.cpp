@@ -25,13 +25,13 @@ int main(int argc, char** argv) {
   for (const ProtocolKind kind : kPaperMultiHopProtocols) {
     models.emplace_back(kind, params);
   }
-  std::vector<protocols::MultiHopSimResult> sims;
+  std::vector<protocols::TreeSimResult> sims;
   if (with_sim) {
-    protocols::MultiHopSimOptions options;
+    protocols::TreeSimOptions options;
     options.duration = 30000.0;
     options.seed = 11;
     for (const ProtocolKind kind : kPaperMultiHopProtocols) {
-      sims.push_back(protocols::run_multi_hop(kind, params, options));
+      sims.push_back(evaluate_simulated(kind, params, options));
     }
   }
 
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     }
     if (with_sim) {
       for (const auto& sim : sims) {
-        row.emplace_back(sim.hop_inconsistency[hop - 1]);
+        row.emplace_back(sim.node_inconsistency[hop - 1]);
       }
     }
     table.add_row(std::move(row));

@@ -11,10 +11,8 @@
 //
 // All runs fan out over the parallel engine keyed by (scenario, protocol,
 // replica), so the sweep is bit-identical at any thread count.  With
-// --quick the binary (a) re-runs the grid at 1, 2 and 8 threads and exits 1
-// on any bit difference, and (b) re-runs the fan-out-1 scenarios through
-// the chain harness (run_multi_hop) and exits 1 unless the tree harness
-// reproduced them bit-for-bit -- the degenerate-tree lock, CI-enforced.
+// --quick the binary re-runs the grid at 1, 2 and 8 threads and exits 1 on
+// any bit difference (CI-enforced).
 //
 // Usage: fig_tree_fanout [--quick] [--csv PATH] [--threads N]
 #include <algorithm>
@@ -28,7 +26,6 @@
 #include "core/protocol.hpp"
 #include "exp/parallel.hpp"
 #include "exp/table.hpp"
-#include "protocols/multi_hop_run.hpp"
 #include "protocols/tree_run.hpp"
 #include "sim/stats.hpp"
 
@@ -145,42 +142,6 @@ bool identical(const std::vector<protocols::TreeSimResult>& a,
   return true;
 }
 
-/// Re-runs every fan-out-1 (scenario, protocol, replica) job through the
-/// chain harness and demands bit-identical results from the tree harness.
-bool degenerate_matches_chain(const std::vector<Scenario>& scenarios,
-                              const std::vector<protocols::TreeSimResult>& grid,
-                              std::size_t replications, double duration) {
-  const std::size_t protocols_n = kPaperMultiHopProtocols.size();
-  bool ok = true;
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    if (scenarios[s].fanout != 1) continue;
-    MultiHopParams chain = base_params(scenarios[s].burst);
-    chain.hops = scenarios[s].depth;
-    for (std::size_t p = 0; p < protocols_n; ++p) {
-      const std::size_t cell = s * protocols_n + p;
-      for (std::size_t r = 0; r < replications; ++r) {
-        protocols::MultiHopSimOptions options;
-        options.seed = exp::replica_seed(kBaseSeed, cell, r);
-        options.duration = duration;
-        const protocols::MultiHopSimResult chain_run =
-            protocols::run_multi_hop(kPaperMultiHopProtocols[p], chain, options);
-        const protocols::TreeSimResult& tree_run = grid[cell * replications + r];
-        if (tree_run.metrics.inconsistency != chain_run.metrics.inconsistency ||
-            tree_run.messages != chain_run.messages ||
-            tree_run.relay_timeouts != chain_run.relay_timeouts ||
-            tree_run.node_inconsistency != chain_run.hop_inconsistency) {
-          std::cerr << "FAIL: fan-out-1 tree diverged from the chain harness ("
-                    << scenarios[s].shape() << ' ' << scenarios[s].loss_label()
-                    << ' ' << to_string(kPaperMultiHopProtocols[p]) << " replica "
-                    << r << ")\n";
-          ok = false;
-        }
-      }
-    }
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -240,12 +201,6 @@ int main(int argc, char** argv) try {
     }
     std::cout << (ok ? "bit-identity across 1/2/8 threads: OK\n"
                      : "bit-identity across 1/2/8 threads: FAILED\n");
-    const bool degenerate_ok =
-        degenerate_matches_chain(scenarios, grid, replications, duration);
-    std::cout << (degenerate_ok
-                      ? "fan-out-1 tree == chain harness bit-for-bit: OK\n"
-                      : "fan-out-1 tree == chain harness bit-for-bit: FAILED\n");
-    ok = ok && degenerate_ok;
   }
 
   const std::string csv = exp::csv_path_from_args(argc, argv);

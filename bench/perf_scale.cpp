@@ -51,7 +51,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "exp/parallel.hpp"
@@ -312,12 +311,14 @@ CoreSpeedups bench_event_core(exp::Table& table, JsonReport& json,
 
 // ---------------------------------------------------- cross-shard ring --
 
-/// Same-thread push/pop cycle through one ShardRing: the farm's
+/// Same-thread push/drain cycle through one ShardRing: the farm's
 /// barrier-separated steady state, where producer and consumer never
-/// overlap in time.  Returns ops/second (one push + one pop per entry).
+/// overlap in time.  Returns ops/second (one push + one drained entry per
+/// entry).
 double ring_phase_rate(std::size_t entries) {
   exp::ShardRing ring(1024);
-  exp::CrossShardEntry out;
+  std::vector<exp::CrossShardEntry> out;
+  out.reserve(512);
   std::uint64_t received = 0;
   const auto start = Clock::now();
   for (std::size_t i = 0; i < entries; ++i) {
@@ -325,46 +326,20 @@ double ring_phase_rate(std::size_t entries) {
     e.send_time = 1.0;
     e.source = 7;
     e.seq = i;
-    while (!ring.try_push(e)) {
-    }
+    ring.push(e);
     if (ring.size() >= 512) {
-      while (ring.try_pop(out)) ++received;
+      out.clear();
+      received += ring.drain(out);
     }
   }
-  while (ring.try_pop(out)) ++received;
+  out.clear();
+  received += ring.drain(out);
   const double elapsed = seconds_since(start);
   expect_fired("ring phase", received, entries);
-  if (ring.allocations() != 1) {
-    std::cerr << "ring phase: ring grew under try_push -- BUG\n";
+  if (ring.capacity() != 1024) {
+    std::cerr << "ring phase: ring grew past its capacity hint -- BUG\n";
     g_core_ok = false;
   }
-  return static_cast<double>(2 * entries) / elapsed;
-}
-
-/// True concurrent SPSC: a producer thread races the consuming main
-/// thread through one ring, the farm's worst-case interleaving (and the
-/// shape the TSan leg audits).  Returns ops/second.
-double ring_spsc_rate(std::size_t entries) {
-  exp::ShardRing ring(1024);
-  const auto start = Clock::now();
-  std::thread producer([&ring, entries] {
-    for (std::size_t i = 0; i < entries; ++i) {
-      exp::CrossShardEntry e;
-      e.send_time = 1.0;
-      e.source = 7;
-      e.seq = i;
-      while (!ring.try_push(e)) {
-      }
-    }
-  });
-  std::uint64_t received = 0;
-  exp::CrossShardEntry out;
-  while (received < entries) {
-    if (ring.try_pop(out)) ++received;
-  }
-  producer.join();
-  const double elapsed = seconds_since(start);
-  expect_fired("ring spsc", received, entries);
   return static_cast<double>(2 * entries) / elapsed;
 }
 
@@ -399,8 +374,7 @@ void bench_ring(exp::Table& table, JsonReport& json, bool quick) {
     table.add_row({name, ops});
     json.ring.push_back({name, ops});
   };
-  add("phase-separated push/pop", ring_phase_rate(entries));
-  add("concurrent SPSC push/pop", ring_spsc_rate(entries));
+  add("phase-separated push/drain", ring_phase_rate(entries));
   add("drain + stamp sort (1k batches)",
       ring_drain_sort_rate(entries, 1024));
 }

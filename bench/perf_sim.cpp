@@ -16,7 +16,6 @@
 #include "exp/parallel.hpp"
 #include "exp/sweep.hpp"
 #include "exp/table.hpp"
-#include "protocols/multi_hop_run.hpp"
 #include "protocols/single_hop_run.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -64,11 +63,11 @@ void bench_multi_hop(exp::Table& table, double duration) {
   for (const std::size_t hops : {2u, 4u, 8u, 16u}) {
     MultiHopParams params;
     params.hops = hops;
-    protocols::MultiHopSimOptions options;
+    protocols::TreeSimOptions options;
     options.duration = duration;
     const auto start = Clock::now();
-    const protocols::MultiHopSimResult result =
-        protocols::run_multi_hop(ProtocolKind::kSSRT, params, options);
+    const protocols::TreeSimResult result =
+        evaluate_simulated(ProtocolKind::kSSRT, params, options);
     const double elapsed = seconds_since(start);
     table.add_row({"multi-hop sim SS+RT K=" + std::to_string(hops),
                    static_cast<double>(result.messages), elapsed,

@@ -25,7 +25,7 @@ int main() {
   p.timeout_timer = 90.0;   // 3 missed refreshes
   p.false_signal_rate = 1e-7;
 
-  protocols::MultiHopSimOptions options;
+  protocols::TreeSimOptions options;
   options.duration = 40000.0;
   options.seed = 314;
 
@@ -36,7 +36,7 @@ int main() {
 
   const auto row = [&](ProtocolKind kind, const char* analogue) {
     const analytic::MultiHopModel model(kind, p);
-    const protocols::MultiHopSimResult sim = evaluate_simulated(kind, p, options);
+    const protocols::TreeSimResult sim = evaluate_simulated(kind, p, options);
     table.add_row({std::string(to_string(kind)), std::string(analogue),
                    model.inconsistency(), sim.metrics.inconsistency,
                    model.hop_inconsistency(p.hops),

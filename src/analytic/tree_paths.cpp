@@ -35,6 +35,21 @@ TreeParams TreeParams::chain(const MultiHopParams& base) {
   return from_base(base, TreeSpec::chain(base.hops));
 }
 
+TreeParams TreeParams::chain(const HeteroMultiHopParams& path) {
+  path.validate();
+  TreeParams out;
+  out.tree = TreeSpec::chain(path.hops());
+  out.loss = path.loss;
+  out.delay = path.delay;
+  out.loss_process = path.loss_process;
+  out.update_rate = path.update_rate;
+  out.refresh_timer = path.refresh_timer;
+  out.timeout_timer = path.timeout_timer;
+  out.retrans_timer = path.retrans_timer;
+  out.false_signal_rate = path.false_signal_rate;
+  return out;
+}
+
 TreeParams TreeParams::uniform(const MultiHopParams& base, TreeSpec spec) {
   return from_base(base, std::move(spec));
 }

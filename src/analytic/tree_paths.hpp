@@ -54,6 +54,10 @@ struct TreeParams {
   /// The degenerate fan-out-1 tree: base.hops hops in a single path.
   [[nodiscard]] static TreeParams chain(const MultiHopParams& base);
 
+  /// A heterogeneous chain: edge i carries hop i's loss, delay and loss
+  /// process (the inverse of path_params on a fan-out-1 tree).
+  [[nodiscard]] static TreeParams chain(const HeteroMultiHopParams& path);
+
   /// An arbitrary shape (e.g. a measured topology replayed from a
   /// parent-vector file) whose every edge carries `base`'s per-hop
   /// loss/delay/loss-process; timers and rates come from `base`

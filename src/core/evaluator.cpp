@@ -4,6 +4,7 @@
 
 #include "analytic/multi_hop.hpp"
 #include "analytic/single_hop.hpp"
+#include "analytic/tree_paths.hpp"
 
 namespace sigcomp {
 
@@ -21,10 +22,11 @@ protocols::SimResult evaluate_simulated(ProtocolKind kind,
   return protocols::run_single_hop(kind, params, options);
 }
 
-protocols::MultiHopSimResult evaluate_simulated(
+protocols::TreeSimResult evaluate_simulated(
     ProtocolKind kind, const MultiHopParams& params,
-    const protocols::MultiHopSimOptions& options) {
-  return protocols::run_multi_hop(kind, params, options);
+    const protocols::TreeSimOptions& options) {
+  return protocols::run_tree(kind, analytic::TreeParams::chain(params),
+                             options);
 }
 
 std::vector<ProtocolMetrics> compare_all(const SingleHopParams& params) {
@@ -104,15 +106,17 @@ std::vector<exp::MetricsSummary> evaluate_grid_simulated(
 
 std::vector<exp::MetricsSummary> evaluate_grid_simulated(
     ProtocolKind kind, const std::vector<MultiHopParams>& grid,
-    const MultiHopSimGridOptions& options) {
+    const MultiHopGridOptions& options) {
   const exp::ReplicatedRun replicated(options.replications, options.sim.seed);
   return with_engine(
       options.engine, options.threads, [&](exp::ParallelSweep& sweep) {
         return replicated.over_grid(
             sweep, grid.size(), [&](std::size_t point, std::uint64_t seed) {
-              protocols::MultiHopSimOptions sim = options.sim;
+              protocols::TreeSimOptions sim = options.sim;
               sim.seed = seed;
-              return protocols::run_multi_hop(kind, grid[point], sim).metrics;
+              return protocols::run_tree(
+                         kind, analytic::TreeParams::chain(grid[point]), sim)
+                  .metrics;
             });
       });
 }

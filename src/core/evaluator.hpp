@@ -10,8 +10,8 @@
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "exp/parallel.hpp"
-#include "protocols/multi_hop_run.hpp"
 #include "protocols/single_hop_run.hpp"
+#include "protocols/tree_run.hpp"
 
 namespace sigcomp {
 
@@ -34,10 +34,12 @@ namespace sigcomp {
     ProtocolKind kind, const SingleHopParams& params,
     const protocols::SimOptions& options = {});
 
-/// Simulated metrics of one protocol in the multi-hop setting.
-[[nodiscard]] protocols::MultiHopSimResult evaluate_simulated(
+/// Simulated metrics of one protocol in the multi-hop setting: the tree
+/// harness on the fan-out-1 tree analytic::TreeParams::chain(params), so
+/// node_inconsistency[i] is hop i+1's inconsistency.
+[[nodiscard]] protocols::TreeSimResult evaluate_simulated(
     ProtocolKind kind, const MultiHopParams& params,
-    const protocols::MultiHopSimOptions& options = {});
+    const protocols::TreeSimOptions& options = {});
 
 /// One (protocol, metrics) row of a protocol comparison.
 struct ProtocolMetrics {
@@ -89,8 +91,8 @@ struct SimGridOptions {
     const SimGridOptions& options = {});
 
 /// Replicated simulation of a multi-hop grid.
-struct MultiHopSimGridOptions {
-  protocols::MultiHopSimOptions sim;  ///< per-replica options; seed = base
+struct MultiHopGridOptions {
+  protocols::TreeSimOptions sim;  ///< per-replica options; seed = base
   std::size_t replications = 10;
   std::size_t threads = 0;
   exp::ParallelSweep* engine = nullptr;  ///< optional shared engine
@@ -98,6 +100,6 @@ struct MultiHopSimGridOptions {
 
 [[nodiscard]] std::vector<exp::MetricsSummary> evaluate_grid_simulated(
     ProtocolKind kind, const std::vector<MultiHopParams>& grid,
-    const MultiHopSimGridOptions& options = {});
+    const MultiHopGridOptions& options = {});
 
 }  // namespace sigcomp

@@ -18,11 +18,9 @@
 //    mirrors the harness stream-for-stream.  kSessionMembership is consumed
 //    only by churn-enabled tree sessions but is reserved in the shared
 //    layout so enabling churn never shifts the other five streams.
-//  * Tree/chain harness layout (streams 100-104): used identically by the
-//    chain harness (protocols/multi_hop_run.cpp) and the tree harness
-//    (protocols/tree_run.cpp); the tree mirrors the chain stream-for-stream
-//    so a fan-out-1 tree replays the chain bit-for-bit.  kTreeMembership is
-//    the dedicated leaf-churn substream (tree harness only), so a
+//  * Tree harness layout (streams 100-106): used by the tree harness
+//    (protocols/tree_run.cpp), which also runs every chain as a fan-out-1
+//    tree.  kTreeMembership is the dedicated leaf-churn substream, so a
 //    zero-churn run replays the static tree exactly.
 #pragma once
 

@@ -140,8 +140,8 @@ struct FabricCtx {
 
 /// Producer half of a shard's fabric attachment: stamps and pushes outgoing
 /// messages onto the ring toward the destination's shard.  Called only from
-/// inside the owning shard's own events (the advance phase), which is the
-/// ring-growth-safe producer window.
+/// inside the owning shard's own events (the advance phase), while no
+/// worker drains.
 class FabricPort {
  public:
   FabricPort(sim::Simulator& sim, CrossShardFabric& fabric,
@@ -955,14 +955,14 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
 //      shard decomposition -- so the epoch timeline is too.
 //   2. advance (parallel):  every worker runs its owned shards' simulators
 //      up to exactly H_k.  Sessions push outgoing fabric messages onto
-//      their shard's rings (producer side; ring growth is legal here).
+//      their shard's rings (producer side).
 //   3. drain (parallel):    every worker drains its owned shards' INCOMING
 //      rings, sorts the merged entries by the (send_time, source, seq)
 //      stamp, and schedules one inbox-flush event at H_k per shard.
 //
 // Each parallel_for join is a full barrier, so the advance and drain phases
-// never overlap anywhere -- that is what makes each ring's SPSC use
-// phase-separated and growth safe.  Messages sent during epoch k are
+// never overlap anywhere -- each ring has one thread touching it at a time
+// and needs no synchronization of its own.  Messages sent during epoch k are
 // delivered at exactly H_k (the destination's clock cannot have passed H_k,
 // so no message ever arrives in the past), in stamp order, via a flush
 // event scheduled AFTER every event of the slice -- deliveries therefore
@@ -1418,7 +1418,7 @@ SessionFarmResult run_session_farm(ProtocolKind kind,
         "run_session_farm: shared relays need single-hop sessions");
   }
   // A chain session IS a fan-out-1 tree session: one session class, one
-  // wiring path (TreeSession's Topology == Chain's, bit for bit).
+  // wiring path, exactly as the tree harness runs chains.
   return run_farm<TreeSession>(kind, analytic::TreeParams::chain(params),
                                options);
 }

@@ -13,11 +13,15 @@
 //
 // Determinism contract (the ParallelSweep contract, extended): every
 // session's randomness is keyed to its GLOBAL index through
-// replica_seed(seed, session, stream), and sessions never interact, so
-// results are bit-identical at any thread count AND any shard size.  Shards
-// partition [0, N) into fixed consecutive blocks, each simulated in its own
-// Simulator and fanned across the pool; per-session metrics are concatenated
-// back in global session order before summarizing.
+// replica_seed(seed, session, stream), so results are bit-identical at any
+// thread count AND any shard size.  Shards partition [0, N) into fixed
+// consecutive blocks, each simulated in its own Simulator and fanned across
+// the pool; per-session metrics are concatenated back in global session
+// order before summarizing.  Without shared relays sessions never interact.
+// With them (SessionFarmOptions::shared_relays), subscribers talk to relay
+// sessions in other shards through the stamped cross-shard fabric
+// (exp/shard_ring.hpp), whose delivery order is itself independent of
+// threads and shard size.
 #pragma once
 
 #include <cstddef>
@@ -185,18 +189,20 @@ struct SessionFarmResult {
     ProtocolKind kind, const SingleHopParams& params,
     const SessionFarmOptions& options);
 
-/// Runs N multi-hop chain sessions of `kind` (SS, SS+RT or HS) with
-/// `params.hops` hops each.  Sessions are measured over their lifetime
-/// window and then silently torn down (protocols::TreeSender::stop).
+/// Runs N multi-hop chain sessions of `kind` (any of the five protocols)
+/// with `params.hops` hops each.  Sessions are measured over their lifetime
+/// window and then torn down: silently (protocols::TreeSender::stop) by
+/// default, or through the explicit removal handshake with
+/// SessionFarmOptions::teardown.
 [[nodiscard]] SessionFarmResult run_session_farm(
     ProtocolKind kind, const MultiHopParams& params,
     const SessionFarmOptions& options);
 
-/// Runs N tree sessions of `kind` (SS, SS+RT or HS), each one a full
-/// `params.tree` topology (protocols::Topology) with per-edge channels.
-/// Like chain sessions, they are measured over their lifetime window and
-/// then silently torn down; `receiver_timeouts` counts soft-state timeouts
-/// across every relay of every session.
+/// Runs N tree sessions of `kind` (any of the five protocols), each one a
+/// full `params.tree` topology (protocols::Topology) with per-edge
+/// channels.  Like chain sessions, they are measured over their lifetime
+/// window and then torn down; `receiver_timeouts` counts soft-state
+/// timeouts across every relay of every session.
 [[nodiscard]] SessionFarmResult run_session_farm(
     ProtocolKind kind, const analytic::TreeParams& params,
     const SessionFarmOptions& options);

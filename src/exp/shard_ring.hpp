@@ -3,22 +3,18 @@
 //
 // Topology: one ShardRing per DIRECTED shard pair that ever carries traffic
 // (lazily materialized from the static subscription map at farm setup --
-// S^2 rings are never allocated).  Each ring is strictly SPSC: the producer
-// is the worker advancing the source shard's time slice, the consumer the
-// worker draining the destination shard at the epoch boundary.  The farm's
-// epoch barriers keep the two phases disjoint in time, but the ring is
-// independently correct under true concurrent SPSC use (monotone head/tail
-// indices with acquire/release pairing -- the ndn-dpdk ringbuffer shape),
-// which is what the RingSpscStress TSan suite exercises.
+// S^2 rings are never allocated).  Each ring is a plain producer-owned
+// outbox vector.  The farm's epoch barriers separate its two phases in
+// time: during the advance phase only the worker stepping the source shard
+// pushes; after the barrier only the worker owning the destination shard
+// drains.  No two threads ever touch a ring at once, so the ring carries no
+// synchronization of its own: the parallel_for join between the phases is
+// the only fence.
 //
-// Allocation discipline: the buffer is a power-of-two array sized at
-// construction; steady-state push/pop performs ZERO allocations (tests
-// assert allocations() stays flat after warm-up).  push() doubles the
-// buffer when full -- legal only while the consumer is quiescent, which in
-// the farm means during a worker's own advance phase (the consumer drains
-// only at the barrier) -- so capacity growth is a ramp-up-only event,
-// mirroring SessionArena's chunk discipline.  try_push() never grows and is
-// the primitive concurrent producers must use.
+// Allocation discipline: the vector reserves its capacity hint at
+// construction and grows only while traffic exceeds its high-water mark;
+// drain() clears it without releasing capacity, so once warm a ring never
+// allocates again, mirroring SessionArena's chunk discipline.
 //
 // Determinism: entries are stamped (send_time, source session GLOBAL index,
 // per-source sequence number).  The stamp is a total order -- seq breaks
@@ -32,7 +28,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -70,121 +65,51 @@ inline void sort_fabric(std::vector<CrossShardEntry>& entries) {
   std::sort(entries.begin(), entries.end(), fabric_before);
 }
 
-/// Fixed-capacity SPSC ring of CrossShardEntry.  See the file comment for
-/// the producer/consumer and growth contracts.
+/// One directed shard pair's outbox of CrossShardEntry.  See the file
+/// comment for the phase and allocation contracts.
 class ShardRing {
  public:
-  /// Rounds `capacity_hint` up to a power of two (minimum 8) and allocates
-  /// the buffer once; steady-state traffic never allocates again.
-  explicit ShardRing(std::size_t capacity_hint = 64)
-      : capacity_(round_up(capacity_hint)), buffer_(capacity_) {}
+  /// Reserves room for `capacity_hint` entries up front.
+  explicit ShardRing(std::size_t capacity_hint = 64) {
+    entries_.reserve(capacity_hint);
+  }
 
   ShardRing(const ShardRing&) = delete;             ///< non-copyable
   ShardRing& operator=(const ShardRing&) = delete;  ///< non-copyable
 
-  /// Producer side, non-growing: enqueues `entry` unless the ring is full.
-  /// Safe against a concurrent consumer (the SPSC contract).
-  bool try_push(const CrossShardEntry& entry) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
-      return false;
-    }
-    buffer_[tail & (capacity_ - 1)] = entry;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Producer side, growing: enqueues unconditionally, doubling the buffer
-  /// when full.  Growth relocates live entries, so it is legal ONLY while
-  /// the consumer is quiescent -- in the farm, inside the producer's own
-  /// advance phase, where the epoch barrier guarantees no concurrent drain.
-  /// Rings warm up to their traffic high-water mark and then never grow
-  /// again (allocations() is the proof the tests pin).
+  /// Producer side (advance phase): enqueues `entry`.
   void push(const CrossShardEntry& entry) {
-    if (!try_push(entry)) {
-      grow();
-      (void)try_push(entry);  // cannot fail: capacity just doubled
-    }
+    entries_.push_back(entry);
+    ++pushed_;
   }
 
-  /// Consumer side: dequeues the oldest entry into `out`; false when empty.
-  /// Safe against a concurrent producer (the SPSC contract).
-  bool try_pop(CrossShardEntry& out) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_.load(std::memory_order_acquire)) return false;
-    out = buffer_[head & (capacity_ - 1)];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side: drains every entry currently in the ring into `out`
-  /// (appended, FIFO).  Returns the number drained.  Entries pushed
-  /// concurrently after the initial tail read are left for the next drain.
+  /// Consumer side (drain phase): appends every enqueued entry to `out` in
+  /// push order and empties the ring, keeping its capacity.  Returns the
+  /// number drained.
   std::size_t drain(std::vector<CrossShardEntry>& out) {
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const auto n = static_cast<std::size_t>(tail - head);
-    out.reserve(out.size() + n);
-    for (; head != tail; ++head) {
-      out.push_back(buffer_[head & (capacity_ - 1)]);
-    }
-    head_.store(head, std::memory_order_release);
+    const std::size_t n = entries_.size();
+    out.insert(out.end(), entries_.begin(), entries_.end());
+    entries_.clear();
     return n;
   }
 
-  /// Entries currently enqueued (racy under concurrent use; exact between
-  /// the farm's barrier-separated phases).
-  [[nodiscard]] std::size_t size() const noexcept {
-    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
-                                    head_.load(std::memory_order_acquire));
+  /// Entries currently enqueued.
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+
+  /// True when no entry is enqueued.
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+
+  /// Entries the ring can hold before its next allocation.
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return entries_.capacity();
   }
 
-  /// True when no entry is enqueued (same precision caveat as size()).
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
-  /// Current buffer capacity (a power of two).
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  /// Buffer allocations since construction (1 = never grew).  Flat in
-  /// steady state -- the ring's zero-allocation counter, pinned by tests.
-  [[nodiscard]] std::size_t allocations() const noexcept {
-    return allocations_;
-  }
-
-  /// Entries ever pushed (producer-side counter; the farm's
-  /// fabric_messages accounting reads it between phases).
-  [[nodiscard]] std::uint64_t pushed() const noexcept {
-    return tail_.load(std::memory_order_acquire);
-  }
+  /// Entries ever pushed (the farm's fabric_messages accounting).
+  [[nodiscard]] std::uint64_t pushed() const noexcept { return pushed_; }
 
  private:
-  static std::size_t round_up(std::size_t n) noexcept {
-    std::size_t cap = 8;
-    while (cap < n) cap <<= 1;
-    return cap;
-  }
-
-  /// Doubles the buffer, relaying live entries to their positions under the
-  /// new mask.  Indices are monotone and masked, so entry i simply moves
-  /// from old[i & old_mask] to new[i & new_mask]; head/tail are unchanged.
-  void grow() {
-    const std::size_t new_cap = capacity_ * 2;
-    std::vector<CrossShardEntry> fresh(new_cap);
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    for (std::uint64_t i = head; i != tail; ++i) {
-      fresh[i & (new_cap - 1)] = buffer_[i & (capacity_ - 1)];
-    }
-    buffer_ = std::move(fresh);
-    capacity_ = new_cap;
-    ++allocations_;
-  }
-
-  std::size_t capacity_;
-  std::vector<CrossShardEntry> buffer_;
-  std::atomic<std::uint64_t> head_{0};  ///< consumer cursor (monotone)
-  std::atomic<std::uint64_t> tail_{0};  ///< producer cursor (monotone)
-  std::size_t allocations_ = 1;         ///< construction counts as one
+  std::vector<CrossShardEntry> entries_;
+  std::uint64_t pushed_ = 0;
 };
 
 /// The farm's ring registry: at most one ShardRing per directed shard pair,
@@ -192,8 +117,8 @@ class ShardRing {
 /// their peers before the first slice, so the set of communicating pairs is
 /// known up front -- "lazy" means only pairs that talk get a ring, not that
 /// rings appear mid-run).  After setup the structure is immutable; workers
-/// only touch ring CONTENTS, each ring by exactly one producer and one
-/// consumer.
+/// only touch ring CONTENTS, each ring by its source shard's worker in the
+/// advance phase and its destination shard's worker in the drain phase.
 class CrossShardFabric {
  public:
   explicit CrossShardFabric(std::size_t shards) : incoming_(shards) {}
@@ -243,7 +168,7 @@ class CrossShardFabric {
     return n;
   }
 
-  /// True when no ring holds an undelivered entry (barrier-phase exact).
+  /// True when no ring holds an undelivered entry.
   [[nodiscard]] bool empty() const noexcept {
     for (const std::vector<Route>& routes : incoming_) {
       for (const Route& r : routes) {
@@ -254,7 +179,7 @@ class CrossShardFabric {
   }
 
   /// Total entries ever pushed across all rings (the farm's
-  /// fabric_messages counter; barrier-phase exact).
+  /// fabric_messages counter).
   [[nodiscard]] std::uint64_t total_pushed() const noexcept {
     std::uint64_t n = 0;
     for (const std::vector<Route>& routes : incoming_) {

@@ -224,8 +224,4 @@ class TreeRelay {
   bool crashed_ = false;  ///< deaf and stateless between crash()/recover()
 };
 
-/// Chain-era names: the PR 3 chain nodes are the fan-out-1 special case.
-using ChainSender = TreeSender;
-using ChainRelay = TreeRelay;
-
 }  // namespace sigcomp::protocols

@@ -16,9 +16,9 @@ namespace sigcomp::protocols {
 
 namespace {
 
-/// Mirrors MultiHopRun stream-for-stream and event-for-event, so a
-/// fan-out-1 tree replays the chain harness exactly (same RNG substreams,
-/// same scheduling order, same trace stream).
+/// One replication: builds the Topology, drives updates, false signals,
+/// churn and the failure scenario, and samples per-node and per-path
+/// consistency on every state change.
 class TreeRun {
  public:
   TreeRun(ProtocolKind kind, analytic::TreeParams params,

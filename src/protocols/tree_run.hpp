@@ -1,8 +1,8 @@
 // Tree simulation harness: a sender at the root plus relays on every other
 // node, connected by lossy per-edge channels, running any of the five
 // protocols, measured against the per-path analytic composition
-// (analytic/tree_paths.hpp).  On a fan-out-1 spec this reproduces the
-// multi-hop chain harness bit-for-bit (the golden-trace tests pin it).
+// (analytic/tree_paths.hpp).  It is also the multi-hop chain harness: run
+// it on TreeParams::chain, the fan-out-1 tree (Figs. 17-19).
 // With churn enabled (TreeSimOptions::churn) leaves join and leave the
 // live tree IGMP-style and the result carries per-join setup latency and
 // per-leave orphan windows.
@@ -24,7 +24,7 @@
 
 namespace sigcomp::protocols {
 
-/// Execution options of one tree simulation (mirrors MultiHopSimOptions).
+/// Execution options of one tree (or chain) simulation.
 struct TreeSimOptions {
   std::uint64_t seed = 1;     ///< base seed of the run's RNG streams
   /// Event-queue backend of the run's Simulator.  A pure performance knob:
@@ -82,7 +82,7 @@ struct TreeSimResult {
                                      const TreeSimOptions& options);
 
 /// Replicated tree estimates with 95% confidence intervals (seeds
-/// options.seed, options.seed + 1, ..., mirroring the multi-hop API).
+/// options.seed, options.seed + 1, ...).
 struct TreeReplicatedResult {
   sim::ConfidenceInterval inconsistency;  ///< all-nodes inconsistency
   sim::ConfidenceInterval message_rate;   ///< raw msg/s across the tree

@@ -1,5 +1,5 @@
-// Fixture: raw std::atomic outside the audited fabric files
-// (exp/shard_ring, exp/thread_pool).  Ad-hoc atomics are how
+// Fixture: raw std::atomic outside the audited thread pool
+// (exp/thread_pool).  Ad-hoc atomics are how
 // nondeterministic cross-thread side channels sneak past the stamped ring
 // discipline; the rule is path-scoped, so this file -- not on the
 // allowlist -- must trip on every atomic use.

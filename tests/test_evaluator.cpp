@@ -38,10 +38,10 @@ TEST(Evaluator, SimulatedFacadeRunsBothSettings) {
 
   MultiHopParams mh = MultiHopParams::reservation_defaults();
   mh.hops = 3;
-  protocols::MultiHopSimOptions multi_options;
+  protocols::TreeSimOptions multi_options;
   multi_options.duration = 500.0;
   const auto multi = evaluate_simulated(ProtocolKind::kSS, mh, multi_options);
-  EXPECT_EQ(multi.hop_inconsistency.size(), 3u);
+  EXPECT_EQ(multi.node_inconsistency.size(), 3u);
 }
 
 TEST(Evaluator, CompareAllSingleHopCoversAllProtocolsInOrder) {

@@ -22,7 +22,6 @@
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "exp/session_farm.hpp"
-#include "protocols/multi_hop_run.hpp"
 #include "protocols/single_hop_run.hpp"
 #include "protocols/tree_run.hpp"
 #include "sim/simulator.hpp"
@@ -89,23 +88,6 @@ std::uint64_t single_hop_digest(
   return digest_of(log);
 }
 
-std::uint64_t multi_hop_digest(
-    ProtocolKind kind,
-    sim::EventQueueBackend backend = sim::EventQueueBackend::kHeap) {
-  sim::TraceLog log(1 << 20);
-  protocols::MultiHopSimOptions options;
-  options.event_queue = backend;
-  options.seed = 2024;
-  options.duration = 300.0;
-  options.trace = &log;
-  MultiHopParams params;
-  params.hops = 3;
-  (void)protocols::run_multi_hop(kind, params, options);
-  EXPECT_LT(log.total_recorded(), log.capacity())
-      << "trace overflowed; the digest would silently cover a suffix only";
-  return digest_of(log);
-}
-
 /// Tree harness under the multi-hop pin conditions (seed 2024, 300 s,
 /// per-edge defaults from MultiHopParams).
 std::uint64_t tree_digest(
@@ -123,6 +105,15 @@ std::uint64_t tree_digest(
   return digest_of(log);
 }
 
+/// The 3-hop chain: the tree harness on the fan-out-1 tree.
+std::uint64_t multi_hop_digest(
+    ProtocolKind kind,
+    sim::EventQueueBackend backend = sim::EventQueueBackend::kHeap) {
+  MultiHopParams chain;
+  chain.hops = 3;
+  return tree_digest(kind, analytic::TreeParams::chain(chain), backend);
+}
+
 struct GoldenEntry {
   ProtocolKind kind;
   std::uint64_t digest;
@@ -138,11 +129,9 @@ constexpr GoldenEntry kSingleHopGolden[] = {
     {ProtocolKind::kHS, 0x4cd155646150f6f1ULL},
 };
 
-// The PR 3 chain digests.  The PR 4 tree generalization MUST keep these
-// bit-for-bit: a fan-out-1 tree is the chain.  The PR 5 StateSlot refactor
-// (explicit removal + membership on trees) must keep them too -- SS+ER and
-// SS+RTR were pinned when PR 5 opened the chain to them; with no removal in
-// flight they replay SS / SS+RT exactly, hence the duplicated digests.
+// The 3-hop chain digests (the tree harness on TreeParams::chain).  SS+ER
+// and SS+RTR never remove state here, so they replay SS / SS+RT exactly,
+// hence the duplicated digests.
 constexpr GoldenEntry kMultiHopGolden[] = {
     {ProtocolKind::kSS, 0xeca1ca36a4fe8658ULL},
     {ProtocolKind::kSSER, 0xeca1ca36a4fe8658ULL},
@@ -166,21 +155,6 @@ TEST(GoldenTrace, MultiHopRecordStreamsArePinned) {
     EXPECT_EQ(actual, entry.digest)
         << "multi-hop " << to_string(entry.kind)
         << " trace digest moved; actual " << hex(actual);
-  }
-}
-
-TEST(GoldenTrace, DegenerateTreeReproducesChainDigests) {
-  // The tree harness on a fan-out-1 spec must replay the chain harness
-  // exactly: same RNG substreams, same wiring order, same trace labels --
-  // so its digests are the *chain* constants above, not new ones.
-  MultiHopParams chain;
-  chain.hops = 3;
-  const analytic::TreeParams params = analytic::TreeParams::chain(chain);
-  for (const GoldenEntry& entry : kMultiHopGolden) {
-    const std::uint64_t actual = tree_digest(entry.kind, params);
-    EXPECT_EQ(actual, entry.digest)
-        << "degenerate tree " << to_string(entry.kind)
-        << " diverged from the chain golden trace; actual " << hex(actual);
   }
 }
 

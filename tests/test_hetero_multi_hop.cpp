@@ -5,7 +5,8 @@
 #include <stdexcept>
 
 #include "analytic/multi_hop.hpp"
-#include "protocols/multi_hop_run.hpp"
+#include "analytic/tree_paths.hpp"
+#include "protocols/tree_run.hpp"
 
 namespace sigcomp::analytic {
 namespace {
@@ -161,12 +162,14 @@ TEST(HeteroModel, BadHopIncreasesInconsistencyVsBaseline) {
 TEST(HeteroSim, HomogeneousOverloadMatchesHeteroOverloadExactly) {
   MultiHopParams p = kHomogeneous;
   p.hops = 4;
-  protocols::MultiHopSimOptions options;
+  protocols::TreeSimOptions options;
   options.duration = 2000.0;
   options.seed = 17;
-  const auto direct = protocols::run_multi_hop(ProtocolKind::kSSRT, p, options);
-  const auto via_hetero = protocols::run_multi_hop(
-      ProtocolKind::kSSRT, HeteroMultiHopParams::from_homogeneous(p), options);
+  const auto direct = protocols::run_tree(ProtocolKind::kSSRT,
+                                          TreeParams::chain(p), options);
+  const auto via_hetero = protocols::run_tree(
+      ProtocolKind::kSSRT,
+      TreeParams::chain(HeteroMultiHopParams::from_homogeneous(p)), options);
   EXPECT_EQ(direct.messages, via_hetero.messages);
   EXPECT_DOUBLE_EQ(direct.metrics.inconsistency,
                    via_hetero.metrics.inconsistency);
@@ -179,12 +182,12 @@ TEST(HeteroSim, TracksHeteroModelWithABadHop) {
   base.hops = 6;
   HeteroMultiHopParams p = HeteroMultiHopParams::from_homogeneous(base);
   p.loss[2] = 0.2;
-  protocols::MultiHopSimOptions options;
+  protocols::TreeSimOptions options;
   options.duration = 30000.0;
   options.seed = 23;
   for (const ProtocolKind kind : kMultiHopProtocols) {
     const HeteroMultiHopModel model(kind, p);
-    const auto sim = protocols::run_multi_hop(kind, p, options);
+    const auto sim = protocols::run_tree(kind, TreeParams::chain(p), options);
     // Same order of magnitude: the lumped slow-path approximation diverges
     // most on a very lossy hop (ACK losses trigger extra hop-by-hop
     // retransmission cycles the model does not see).
@@ -200,13 +203,16 @@ TEST(HeteroSim, BadHopShowsUpInPerHopProfile) {
   base.hops = 6;
   HeteroMultiHopParams p = HeteroMultiHopParams::from_homogeneous(base);
   p.loss[2] = 0.25;  // hop 3 is bad
-  protocols::MultiHopSimOptions options;
+  protocols::TreeSimOptions options;
   options.duration = 20000.0;
   options.seed = 29;
-  const auto sim = protocols::run_multi_hop(ProtocolKind::kSSRT, p, options);
+  const auto sim =
+      protocols::run_tree(ProtocolKind::kSSRT, TreeParams::chain(p), options);
   // The jump across the bad hop dominates the profile's increments.
-  const double jump_bad = sim.hop_inconsistency[2] - sim.hop_inconsistency[1];
-  const double jump_good = sim.hop_inconsistency[1] - sim.hop_inconsistency[0];
+  const double jump_bad =
+      sim.node_inconsistency[2] - sim.node_inconsistency[1];
+  const double jump_good =
+      sim.node_inconsistency[1] - sim.node_inconsistency[0];
   EXPECT_GT(jump_bad, 2.0 * jump_good);
 }
 

@@ -14,7 +14,6 @@
 #include "core/topology.hpp"
 #include "exp/session_farm.hpp"
 #include "protocols/membership.hpp"
-#include "protocols/multi_hop_run.hpp"
 #include "protocols/topology.hpp"
 #include "protocols/tree_run.hpp"
 #include "sim/channel_process.hpp"

@@ -1,6 +1,7 @@
 // Unit tests of the multi-hop chain machinery: the per-link reliable
 // transmission slot and the relay's forwarding / teardown / notice logic,
-// driven over scripted channels.
+// driven over scripted channels.  The ChainRelay / ChainSender suites run
+// TreeRelay / TreeSender with at most one child, i.e. on a chain.
 #include "protocols/multi_hop_node.hpp"
 
 #include <gtest/gtest.h>
@@ -98,8 +99,8 @@ struct RelayFixture {
     timers.retrans = 0.5;
     std::vector<MessageChannel*> children;
     if (!is_last) children.push_back(&down);
-    relay = std::make_unique<ChainRelay>(sim, rng, mechanisms(kind), timers,
-                                         &up, std::move(children), nullptr);
+    relay = std::make_unique<TreeRelay>(sim, rng, mechanisms(kind), timers,
+                                        &up, std::move(children), nullptr);
   }
 
   sim::Simulator sim;
@@ -108,7 +109,7 @@ struct RelayFixture {
   Capture down_capture;
   MessageChannel up;
   MessageChannel down;
-  std::unique_ptr<ChainRelay> relay;
+  std::unique_ptr<TreeRelay> relay;
 };
 
 TEST(ChainRelay, SsTriggerInstallsAndForwardsWithoutAck) {
@@ -223,7 +224,7 @@ struct SenderFixture {
     timers.refresh = 5.0;
     timers.timeout = 15.0;
     timers.retrans = 0.5;
-    sender = std::make_unique<ChainSender>(
+    sender = std::make_unique<TreeSender>(
         sim, rng, mechanisms(kind), timers,
         std::vector<MessageChannel*>{&down}, nullptr);
   }
@@ -232,7 +233,7 @@ struct SenderFixture {
   sim::Rng rng;
   Capture capture;
   MessageChannel down;
-  std::unique_ptr<ChainSender> sender;
+  std::unique_ptr<TreeSender> sender;
 };
 
 TEST(ChainSender, SsStartSendsTriggerThenRefreshes) {

@@ -1,5 +1,5 @@
-#include "protocols/multi_hop_run.hpp"
-
+// The multi-hop chain simulation (Sec. III-B): the tree harness on the
+// fan-out-1 tree, analytic::TreeParams::chain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +7,8 @@
 #include <stdexcept>
 
 #include "analytic/multi_hop.hpp"
+#include "analytic/tree_paths.hpp"
+#include "protocols/tree_run.hpp"
 
 namespace sigcomp::protocols {
 namespace {
@@ -17,22 +19,34 @@ MultiHopParams small_chain() {
   return p;
 }
 
-MultiHopSimOptions quick_options(std::uint64_t seed = 1) {
-  MultiHopSimOptions o;
+TreeSimOptions quick_options(std::uint64_t seed = 1) {
+  TreeSimOptions o;
   o.seed = seed;
   o.duration = 4000.0;
   return o;
 }
 
+/// Runs one replication on the chain `params` describes (homogeneous or
+/// per-hop heterogeneous).
+template <class ChainParams>
+TreeSimResult run_chain(ProtocolKind kind, const ChainParams& params,
+                        const TreeSimOptions& options) {
+  return run_tree(kind, analytic::TreeParams::chain(params), options);
+}
+
 TEST(MultiHopSim, ProducesValidMetricsForSupportedProtocols) {
   for (const ProtocolKind kind : kMultiHopProtocols) {
-    const MultiHopSimResult result =
-        run_multi_hop(kind, small_chain(), quick_options());
+    const TreeSimResult result =
+        run_chain(kind, small_chain(), quick_options());
     EXPECT_GT(result.metrics.inconsistency, 0.0) << to_string(kind);
     EXPECT_LT(result.metrics.inconsistency, 1.0) << to_string(kind);
     EXPECT_GT(result.messages, 0u) << to_string(kind);
-    EXPECT_EQ(result.hop_inconsistency.size(), 5u) << to_string(kind);
+    EXPECT_EQ(result.node_inconsistency.size(), 5u) << to_string(kind);
     EXPECT_DOUBLE_EQ(result.duration, 4000.0) << to_string(kind);
+    // The chain's one leaf path covers every node.
+    ASSERT_EQ(result.leaf_path_inconsistency.size(), 1u) << to_string(kind);
+    EXPECT_EQ(result.leaf_path_inconsistency[0], result.metrics.inconsistency)
+        << to_string(kind);
   }
 }
 
@@ -44,10 +58,8 @@ TEST(MultiHopSim, DegenerateGilbertElliottReproducesIidBitForBit) {
   ge.ge_p_bg = 1.0 - iid.loss;
   ge.ge_loss_bad = 1.0;
   ge.ge_loss_good = 0.0;
-  const MultiHopSimResult a =
-      run_multi_hop(ProtocolKind::kSS, iid, quick_options(17));
-  const MultiHopSimResult b =
-      run_multi_hop(ProtocolKind::kSS, ge, quick_options(17));
+  const TreeSimResult a = run_chain(ProtocolKind::kSS, iid, quick_options(17));
+  const TreeSimResult b = run_chain(ProtocolKind::kSS, ge, quick_options(17));
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_DOUBLE_EQ(a.metrics.inconsistency, b.metrics.inconsistency);
   EXPECT_EQ(a.relay_timeouts, b.relay_timeouts);
@@ -67,20 +79,19 @@ TEST(MultiHopSim, PerHopBurstyLossIsHeterogeneous) {
   EXPECT_NEAR(one_bursty.hop_loss_config(2).mean_loss(), 0.05, 1e-12);
   EXPECT_EQ(one_bursty.hop_loss_config(0).model, sim::LossModel::kIid);
 
-  MultiHopSimOptions options = quick_options(5);
+  TreeSimOptions options = quick_options(5);
   options.duration = 20000.0;
   const double iid_inconsistency =
-      run_multi_hop(ProtocolKind::kSS, base, options).metrics.inconsistency;
+      run_chain(ProtocolKind::kSS, base, options).metrics.inconsistency;
   const double all_bursty =
-      run_multi_hop(ProtocolKind::kSS, base.with_bursty_loss(10.0), options)
+      run_chain(ProtocolKind::kSS, base.with_bursty_loss(10.0), options)
           .metrics.inconsistency;
   EXPECT_GT(all_bursty, 1.3 * iid_inconsistency);
 
   // End-to-end through the heterogeneous overload: one bursty hop sits
   // between the all-iid and all-bursty chains.
-  const MultiHopSimResult mixed =
-      run_multi_hop(ProtocolKind::kSS, one_bursty, options);
-  EXPECT_EQ(mixed.hop_inconsistency.size(), 5u);
+  const TreeSimResult mixed = run_chain(ProtocolKind::kSS, one_bursty, options);
+  EXPECT_EQ(mixed.node_inconsistency.size(), 5u);
   EXPECT_GT(mixed.metrics.inconsistency, iid_inconsistency);
   EXPECT_LT(mixed.metrics.inconsistency, all_bursty);
 }
@@ -89,32 +100,32 @@ TEST(MultiHopSim, ExplicitRemovalProtocolsRunAndMatchTheirBaseChain) {
   // The harness never removes state (infinite session), so the
   // explicit-removal variants must replay their base protocol bit-for-bit:
   // the removal mechanisms are pure dead weight until someone leaves.
-  const MultiHopSimResult ss =
-      run_multi_hop(ProtocolKind::kSS, small_chain(), quick_options());
-  const MultiHopSimResult sser =
-      run_multi_hop(ProtocolKind::kSSER, small_chain(), quick_options());
+  const TreeSimResult ss =
+      run_chain(ProtocolKind::kSS, small_chain(), quick_options());
+  const TreeSimResult sser =
+      run_chain(ProtocolKind::kSSER, small_chain(), quick_options());
   EXPECT_EQ(sser.messages, ss.messages);
   EXPECT_EQ(sser.metrics.inconsistency, ss.metrics.inconsistency);
-  const MultiHopSimResult ssrt =
-      run_multi_hop(ProtocolKind::kSSRT, small_chain(), quick_options());
-  const MultiHopSimResult ssrtr =
-      run_multi_hop(ProtocolKind::kSSRTR, small_chain(), quick_options());
+  const TreeSimResult ssrt =
+      run_chain(ProtocolKind::kSSRT, small_chain(), quick_options());
+  const TreeSimResult ssrtr =
+      run_chain(ProtocolKind::kSSRTR, small_chain(), quick_options());
   EXPECT_EQ(ssrtr.messages, ssrt.messages);
   EXPECT_EQ(ssrtr.metrics.inconsistency, ssrt.metrics.inconsistency);
 }
 
 TEST(MultiHopSim, RejectsNonPositiveDuration) {
-  MultiHopSimOptions options;
+  TreeSimOptions options;
   options.duration = 0.0;
-  EXPECT_THROW((void)run_multi_hop(ProtocolKind::kSS, small_chain(), options),
+  EXPECT_THROW((void)run_chain(ProtocolKind::kSS, small_chain(), options),
                std::invalid_argument);
 }
 
 TEST(MultiHopSim, SameSeedIsReproducible) {
-  const MultiHopSimResult a =
-      run_multi_hop(ProtocolKind::kSSRT, small_chain(), quick_options(4));
-  const MultiHopSimResult b =
-      run_multi_hop(ProtocolKind::kSSRT, small_chain(), quick_options(4));
+  const TreeSimResult a =
+      run_chain(ProtocolKind::kSSRT, small_chain(), quick_options(4));
+  const TreeSimResult b =
+      run_chain(ProtocolKind::kSSRT, small_chain(), quick_options(4));
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_DOUBLE_EQ(a.metrics.inconsistency, b.metrics.inconsistency);
 }
@@ -123,55 +134,56 @@ TEST(MultiHopSim, FarHopsAreWorseOff) {
   // Fig. 17's monotone trend; compare first vs last hop with margin to
   // absorb noise.
   for (const ProtocolKind kind : kMultiHopProtocols) {
-    MultiHopSimOptions options = quick_options(8);
+    TreeSimOptions options = quick_options(8);
     options.duration = 8000.0;
-    const MultiHopSimResult result = run_multi_hop(kind, small_chain(), options);
-    EXPECT_GT(result.hop_inconsistency.back(), result.hop_inconsistency.front())
+    const TreeSimResult result = run_chain(kind, small_chain(), options);
+    EXPECT_GT(result.node_inconsistency.back(),
+              result.node_inconsistency.front())
         << to_string(kind);
   }
 }
 
 TEST(MultiHopSim, SsIsLeastConsistent) {
-  MultiHopSimOptions options = quick_options(10);
+  TreeSimOptions options = quick_options(10);
   options.duration = 8000.0;
-  const double ss =
-      run_multi_hop(ProtocolKind::kSS, small_chain(), options).metrics.inconsistency;
-  const double ssrt =
-      run_multi_hop(ProtocolKind::kSSRT, small_chain(), options).metrics.inconsistency;
-  const double hs =
-      run_multi_hop(ProtocolKind::kHS, small_chain(), options).metrics.inconsistency;
+  const double ss = run_chain(ProtocolKind::kSS, small_chain(), options)
+                        .metrics.inconsistency;
+  const double ssrt = run_chain(ProtocolKind::kSSRT, small_chain(), options)
+                          .metrics.inconsistency;
+  const double hs = run_chain(ProtocolKind::kHS, small_chain(), options)
+                        .metrics.inconsistency;
   EXPECT_GT(ss, ssrt);
   EXPECT_GT(ss, hs);
 }
 
 TEST(MultiHopSim, HardStateSendsFarFewerMessages) {
-  const MultiHopSimResult ss =
-      run_multi_hop(ProtocolKind::kSS, small_chain(), quick_options(12));
-  const MultiHopSimResult hs =
-      run_multi_hop(ProtocolKind::kHS, small_chain(), quick_options(12));
+  const TreeSimResult ss =
+      run_chain(ProtocolKind::kSS, small_chain(), quick_options(12));
+  const TreeSimResult hs =
+      run_chain(ProtocolKind::kHS, small_chain(), quick_options(12));
   EXPECT_LT(hs.messages, ss.messages / 2);
 }
 
 TEST(MultiHopSim, SoftStateTimeoutsOccurUnderLoss) {
   MultiHopParams p = small_chain();
   p.loss = 0.3;
-  MultiHopSimOptions options = quick_options(14);
+  TreeSimOptions options = quick_options(14);
   options.duration = 20000.0;
-  const MultiHopSimResult result = run_multi_hop(ProtocolKind::kSS, p, options);
+  const TreeSimResult result = run_chain(ProtocolKind::kSS, p, options);
   EXPECT_GT(result.relay_timeouts, 0u);
 }
 
 TEST(MultiHopSim, HardStateNeverTimesOut) {
-  const MultiHopSimResult result =
-      run_multi_hop(ProtocolKind::kHS, small_chain(), quick_options(16));
+  const TreeSimResult result =
+      run_chain(ProtocolKind::kHS, small_chain(), quick_options(16));
   EXPECT_EQ(result.relay_timeouts, 0u);
 }
 
 TEST(MultiHopSim, LossFreeChainIsNearlyAlwaysConsistent) {
   MultiHopParams p = small_chain();
   p.loss = 0.0;
-  const MultiHopSimResult result =
-      run_multi_hop(ProtocolKind::kSS, p, quick_options(18));
+  const TreeSimResult result =
+      run_chain(ProtocolKind::kSS, p, quick_options(18));
   // Only update propagation (5 hops x 30 ms every ~60 s) is inconsistent.
   EXPECT_LT(result.metrics.inconsistency, 0.01);
 }
@@ -179,32 +191,35 @@ TEST(MultiHopSim, LossFreeChainIsNearlyAlwaysConsistent) {
 TEST(MultiHopSim, HsRecoversFromFalseExternalSignals) {
   MultiHopParams p = small_chain();
   p.false_signal_rate = 1.0 / 500.0;  // frequent false signals
-  MultiHopSimOptions options = quick_options(20);
+  TreeSimOptions options = quick_options(20);
   options.duration = 10000.0;
-  const MultiHopSimResult result = run_multi_hop(ProtocolKind::kHS, p, options);
+  const TreeSimResult result = run_chain(ProtocolKind::kHS, p, options);
   // Signals happen (~20 per relay) yet consistency recovers each time.
   EXPECT_GT(result.metrics.inconsistency, 0.0);
   EXPECT_LT(result.metrics.inconsistency, 0.2);
 }
 
 TEST(MultiHopSimReplicated, ProducesConfidenceIntervals) {
-  MultiHopSimOptions options = quick_options();
+  TreeSimOptions options = quick_options();
   options.duration = 1500.0;
-  const MultiHopReplicatedResult result =
-      run_multi_hop_replicated(ProtocolKind::kSS, small_chain(), options, 6);
+  const TreeReplicatedResult result =
+      run_tree_replicated(ProtocolKind::kSS,
+                          analytic::TreeParams::chain(small_chain()), options,
+                          6);
   EXPECT_EQ(result.replications, 6u);
   EXPECT_GT(result.inconsistency.mean, 0.0);
   EXPECT_GT(result.inconsistency.half_width, 0.0);
   EXPECT_GT(result.message_rate.mean, 0.0);
-  EXPECT_GE(result.last_hop_inconsistency.mean, result.inconsistency.mean * 0.5);
+  EXPECT_GE(result.worst_leaf_inconsistency.mean,
+            result.inconsistency.mean * 0.5);
 }
 
 TEST(MultiHopSimReplicated, CoversTheAnalyticModel) {
   MultiHopParams p = small_chain();
-  MultiHopSimOptions options = quick_options(40);
+  TreeSimOptions options = quick_options(40);
   options.duration = 6000.0;
-  const MultiHopReplicatedResult sim =
-      run_multi_hop_replicated(ProtocolKind::kSS, p, options, 8);
+  const TreeReplicatedResult sim = run_tree_replicated(
+      ProtocolKind::kSS, analytic::TreeParams::chain(p), options, 8);
   const double model =
       analytic::MultiHopModel(ProtocolKind::kSS, p).inconsistency();
   // Within 4 CI half-widths or 30% relative.
@@ -214,17 +229,19 @@ TEST(MultiHopSimReplicated, CoversTheAnalyticModel) {
 }
 
 TEST(MultiHopSimReplicated, ZeroReplicationsRejected) {
-  EXPECT_THROW((void)run_multi_hop_replicated(ProtocolKind::kSS, small_chain(),
-                                              MultiHopSimOptions{}, 0),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_tree_replicated(ProtocolKind::kSS,
+                                analytic::TreeParams::chain(small_chain()),
+                                TreeSimOptions{}, 0),
+      std::invalid_argument);
 }
 
 TEST(MultiHopSim, SingleHopChainWorks) {
   MultiHopParams p = small_chain();
   p.hops = 1;
-  const MultiHopSimResult result =
-      run_multi_hop(ProtocolKind::kSSRT, p, quick_options(22));
-  EXPECT_EQ(result.hop_inconsistency.size(), 1u);
+  const TreeSimResult result =
+      run_chain(ProtocolKind::kSSRT, p, quick_options(22));
+  EXPECT_EQ(result.node_inconsistency.size(), 1u);
   EXPECT_GT(result.messages, 0u);
 }
 

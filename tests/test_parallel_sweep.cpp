@@ -165,7 +165,7 @@ TEST(ParallelSweep, MultiHopSimulatedGridIsDeterministic) {
   std::vector<MultiHopParams> grid(2, MultiHopParams::reservation_defaults());
   grid[0].hops = 2;
   grid[1].hops = 4;
-  MultiHopSimGridOptions options;
+  MultiHopGridOptions options;
   options.sim.duration = 500.0;
   options.sim.seed = 3;
   options.replications = 2;

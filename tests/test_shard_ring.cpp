@@ -1,6 +1,6 @@
-// Tests of the cross-shard message ring (exp/shard_ring): SPSC stress under
-// real concurrency, wrap-around, the ramp-up-only growth contract, and the
-// adversarial-tie determinism of the fabric delivery order.
+// Tests of the cross-shard message ring (exp/shard_ring): push/drain order,
+// the ramp-up-only growth contract, and the adversarial-tie determinism of
+// the fabric delivery order.
 #include "exp/shard_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
-#include <thread>
 #include <vector>
 
 namespace sigcomp::exp {
@@ -26,79 +25,18 @@ CrossShardEntry entry(double time, std::uint64_t source, std::uint64_t seq,
   return e;
 }
 
-TEST(RingSpsc, StressMillionPushPopFlatAllocations) {
-  // One real producer thread against one real consumer thread, 1M entries
-  // through a fixed-capacity ring: every entry arrives exactly once, in
-  // FIFO order, and the ring never allocates after construction (try_push
-  // spins instead of growing).  The CI TSan leg runs this suite.
-  constexpr std::uint64_t kEntries = 1'000'000;
-  ShardRing ring(1024);
-  EXPECT_EQ(ring.allocations(), 1u);
-
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kEntries; ++i) {
-      while (!ring.try_push(entry(1.0, 7, i))) {
-      }
-    }
-  });
-  std::uint64_t received = 0;
-  CrossShardEntry out;
-  while (received < kEntries) {
-    if (ring.try_pop(out)) {
-      ASSERT_EQ(out.seq, received);  // FIFO, nothing lost or duplicated
-      ++received;
-    }
-  }
-  producer.join();
-
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.pushed(), kEntries);
-  EXPECT_EQ(ring.allocations(), 1u);  // flat: zero steady-state allocations
-  EXPECT_EQ(ring.capacity(), 1024u);
-}
-
-TEST(RingSpsc, WrapAroundPreservesFifoOrder) {
-  // Capacity 8 ring cycled far past its capacity: the masked monotone
-  // cursors must keep FIFO order across every wrap.
-  ShardRing ring(8);
-  EXPECT_EQ(ring.capacity(), 8u);
-  std::uint64_t next_pop = 0;
-  CrossShardEntry out;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.try_push(entry(2.0, 1, i)));
-    if (ring.size() <= 5) continue;  // hold occupancy near (not at) capacity
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out.seq, next_pop++);
-  }
-  while (ring.try_pop(out)) {
-    EXPECT_EQ(out.seq, next_pop++);
-  }
-  EXPECT_EQ(next_pop, 1000u);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.allocations(), 1u);
-}
-
-TEST(RingSpsc, TryPushRefusesWhenFullAndNeverGrows) {
-  ShardRing ring(8);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.try_push(entry(0.0, 0, i)));
-  }
-  EXPECT_FALSE(ring.try_push(entry(0.0, 0, 8)));
-  EXPECT_EQ(ring.size(), 8u);
-  EXPECT_EQ(ring.allocations(), 1u);
-}
-
 TEST(RingSpsc, GrowthBeforeFirstSliceRelocatesAndThenStaysFlat) {
-  // The farm's ramp-up shape: push() grows the buffer while the consumer is
-  // quiescent (capacity doubling, live entries relayed in order), and once
-  // warm the ring never allocates again -- even when later traffic exceeds
-  // the ORIGINAL capacity.
+  // The farm's ramp-up shape: push() grows past the capacity hint while
+  // traffic ramps up (live entries relocated in order), and once warm the
+  // ring never allocates again -- drain() keeps the capacity, so later
+  // traffic of the same volume fits without growing.
   ShardRing ring(8);
+  EXPECT_GE(ring.capacity(), 8u);
   for (std::uint64_t i = 0; i < 100; ++i) {
     ring.push(entry(3.0, 5, i));
   }
-  EXPECT_EQ(ring.capacity(), 128u);
-  EXPECT_EQ(ring.allocations(), 5u);  // 8 -> 16 -> 32 -> 64 -> 128
+  const std::size_t warm = ring.capacity();
+  EXPECT_GE(warm, 100u);
 
   std::vector<CrossShardEntry> drained;
   EXPECT_EQ(ring.drain(drained), 100u);
@@ -111,7 +49,7 @@ TEST(RingSpsc, GrowthBeforeFirstSliceRelocatesAndThenStaysFlat) {
   for (std::uint64_t i = 0; i < 100; ++i) {
     ring.push(entry(4.0, 5, 100 + i));
   }
-  EXPECT_EQ(ring.allocations(), 5u);
+  EXPECT_EQ(ring.capacity(), warm);
   EXPECT_EQ(ring.pushed(), 200u);
 }
 

@@ -9,8 +9,9 @@
 
 #include "analytic/multi_hop.hpp"
 #include "analytic/single_hop.hpp"
-#include "protocols/multi_hop_run.hpp"
+#include "analytic/tree_paths.hpp"
 #include "protocols/single_hop_run.hpp"
+#include "protocols/tree_run.hpp"
 
 namespace sigcomp {
 namespace {
@@ -110,11 +111,11 @@ TEST_P(MultiHopSimVsAnalytic, SimTracksModelShape) {
   params.hops = 10;
   const analytic::MultiHopModel model(kind, params);
 
-  protocols::MultiHopSimOptions options;
+  protocols::TreeSimOptions options;
   options.duration = 30000.0;
   options.seed = 55;
-  const protocols::MultiHopSimResult sim =
-      protocols::run_multi_hop(kind, params, options);
+  const protocols::TreeSimResult sim =
+      protocols::run_tree(kind, analytic::TreeParams::chain(params), options);
 
   // End-to-end inconsistency within 35% relative (the sim's hop-by-hop
   // recovery is richer than the model's lumped approximation).
@@ -124,7 +125,7 @@ TEST_P(MultiHopSimVsAnalytic, SimTracksModelShape) {
 
   // Per-hop inconsistency is within a factor band at the far end.
   const double model_far = model.hop_inconsistency(params.hops);
-  const double sim_far = sim.hop_inconsistency.back();
+  const double sim_far = sim.node_inconsistency.back();
   EXPECT_GT(sim_far, 0.4 * model_far) << to_string(kind);
   EXPECT_LT(sim_far, 1.8 * model_far) << to_string(kind);
 

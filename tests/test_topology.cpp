@@ -18,7 +18,6 @@
 #include "core/protocol.hpp"
 #include "core/topology.hpp"
 #include "exp/session_farm.hpp"
-#include "protocols/multi_hop_run.hpp"
 #include "protocols/tree_run.hpp"
 #include "sim/simulator.hpp"
 
@@ -144,54 +143,23 @@ TEST(TreeParams, ValidateRejectsMismatchedVectors) {
 
 // ---------------------------------------------------------------- run_tree --
 
-TEST(TreeRun, DegenerateTreeIsBitIdenticalToMultiHopChain) {
-  // Fan-out 1, depth 3 == the 3-hop chain harness, to the last bit.
-  MultiHopParams base;
-  base.hops = 3;
-  protocols::MultiHopSimOptions chain_options;
-  chain_options.seed = 77;
-  chain_options.duration = 2000.0;
-  const protocols::MultiHopSimResult chain =
-      protocols::run_multi_hop(ProtocolKind::kSSRT, base, chain_options);
-
-  protocols::TreeSimOptions tree_options;
-  tree_options.seed = 77;
-  tree_options.duration = 2000.0;
-  const protocols::TreeSimResult tree = protocols::run_tree(
-      ProtocolKind::kSSRT, analytic::TreeParams::chain(base), tree_options);
-
-  EXPECT_EQ(tree.metrics.inconsistency, chain.metrics.inconsistency);
-  EXPECT_EQ(tree.metrics.raw_message_rate, chain.metrics.raw_message_rate);
-  EXPECT_EQ(tree.messages, chain.messages);
-  EXPECT_EQ(tree.relay_timeouts, chain.relay_timeouts);
-  ASSERT_EQ(tree.node_inconsistency.size(), chain.hop_inconsistency.size());
-  for (std::size_t i = 0; i < tree.node_inconsistency.size(); ++i) {
-    EXPECT_EQ(tree.node_inconsistency[i], chain.hop_inconsistency[i]);
-  }
-  // The chain's one leaf path covers every node.
-  ASSERT_EQ(tree.leaf_path_inconsistency.size(), 1u);
-  EXPECT_EQ(tree.leaf_path_inconsistency[0], tree.metrics.inconsistency);
-}
-
 TEST(TreeRun, DepthOneFanoutOneIsBitIdenticalToSingleHopPath) {
-  // The smallest tree -- one sender, one receiver -- must reproduce the
-  // existing single-hop path (the 1-hop chain) exactly.
+  // The smallest tree -- one sender, one receiver -- built as a balanced
+  // tree must reproduce the single-hop path (the 1-hop chain) exactly.
   MultiHopParams base;
   base.hops = 1;
-  protocols::MultiHopSimOptions chain_options;
-  chain_options.seed = 9;
-  chain_options.duration = 2000.0;
-  protocols::TreeSimOptions tree_options;
-  tree_options.seed = 9;
-  tree_options.duration = 2000.0;
+  protocols::TreeSimOptions options;
+  options.seed = 9;
+  options.duration = 2000.0;
+  const analytic::TreeParams path = analytic::TreeParams::chain(base);
   const analytic::TreeParams tiny =
       analytic::TreeParams::balanced(base, 1, 1);
-  EXPECT_EQ(tiny.tree, TreeSpec::chain(1));
+  EXPECT_EQ(tiny.tree, path.tree);
   for (const ProtocolKind kind : kMultiHopProtocols) {
-    const protocols::MultiHopSimResult chain =
-        protocols::run_multi_hop(kind, base, chain_options);
+    const protocols::TreeSimResult chain =
+        protocols::run_tree(kind, path, options);
     const protocols::TreeSimResult tree =
-        protocols::run_tree(kind, tiny, tree_options);
+        protocols::run_tree(kind, tiny, options);
     EXPECT_EQ(tree.metrics.inconsistency, chain.metrics.inconsistency)
         << to_string(kind);
     EXPECT_EQ(tree.messages, chain.messages) << to_string(kind);

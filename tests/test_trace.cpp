@@ -5,9 +5,10 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analytic/tree_paths.hpp"
 #include "core/params.hpp"
-#include "protocols/multi_hop_run.hpp"
 #include "protocols/single_hop_run.hpp"
+#include "protocols/tree_run.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
 
@@ -176,13 +177,14 @@ TEST(HarnessTrace, DetachedSingleHopRunRecordsNothing) {
 
 TEST(HarnessTrace, MultiHopRunEmitsPerHopChannelEvents) {
   TraceLog log(1 << 20);
-  protocols::MultiHopSimOptions options;
+  protocols::TreeSimOptions options;
   options.duration = 200.0;
   options.seed = 3;
   options.trace = &log;
   MultiHopParams params;
   params.hops = 3;
-  (void)protocols::run_multi_hop(ProtocolKind::kSSRT, params, options);
+  (void)protocols::run_tree(ProtocolKind::kSSRT,
+                           analytic::TreeParams::chain(params), options);
 
   EXPECT_GT(log.count(TraceCategory::kSend), 0u);
   EXPECT_GT(log.count(TraceCategory::kDeliver), 0u);

@@ -35,11 +35,11 @@ bit-identity:
                       from src/core/rng_streams.hpp, where a static_assert
                       proves global uniqueness.
   raw-atomic          std::atomic (and std::atomic_* free functions) outside
-                      the audited cross-thread fabric -- exp/shard_ring and
-                      exp/thread_pool -- in library code.  Ad-hoc atomics
-                      are how nondeterministic cross-thread channels sneak
-                      in; inter-shard traffic must ride the stamped ring
-                      fabric, and worker coordination the pool.
+                      the audited thread pool (exp/thread_pool) in library
+                      code.  Ad-hoc atomics are how nondeterministic
+                      cross-thread channels sneak in; inter-shard traffic
+                      must ride the barrier-phased stamped ring fabric, and
+                      worker coordination the pool.
 
 Escape hatch (same line, or a comment line directly above the code):
 
@@ -85,9 +85,9 @@ RULE_DOCS = {
                            "vendor-specific",
     "rng-stream-literal": "numeric-literal RNG stream ID; use a named "
                           "constant from core/rng_streams.hpp",
-    "raw-atomic": "raw std::atomic outside the audited fabric "
-                  "(exp/shard_ring, exp/thread_pool); cross-thread traffic "
-                  "goes through the stamped ring",
+    "raw-atomic": "raw std::atomic outside the audited thread pool "
+                  "(exp/thread_pool); cross-thread traffic goes through the "
+                  "stamped ring fabric",
     "bad-waiver": "malformed sigcomp-lint waiver",
     "unused-waiver": "waiver suppresses no finding; remove it",
 }
@@ -264,13 +264,11 @@ SIMPLE_RULES = [
 ]
 
 # raw-atomic: std::atomic<T>, std::atomic_flag, std::atomic_thread_fence and
-# friends.  Path-scoped rather than purely syntactic: the two audited
-# cross-thread primitives -- the stamped SPSC ring fabric and the thread
-# pool's work-claiming counter -- are the only library files allowed to hold
-# raw atomics (anywhere else, waive with a reason).
+# friends.  Path-scoped rather than purely syntactic: the thread pool's
+# work-claiming counter is the only library code allowed to hold raw atomics
+# (anywhere else, waive with a reason).
 ATOMIC_RE = re.compile(r"\bstd\s*::\s*atomic(?:_\w+)?\b")
-ATOMIC_FABRIC_FILES = (
-    "exp/shard_ring.hpp",
+ATOMIC_POOL_FILES = (
     "exp/thread_pool.hpp",
     "exp/thread_pool.cpp",
 )
@@ -353,13 +351,13 @@ def lint_file(view, unordered_names, rng_names, registry_rel):
 
     rel_posix = view.rel.replace(os.sep, "/")
     in_registry = rel_posix.endswith(registry_rel)
-    in_fabric = rel_posix.endswith(ATOMIC_FABRIC_FILES)
+    in_pool = rel_posix.endswith(ATOMIC_POOL_FILES)
     for idx, line in enumerate(view.code_lines):
         lineno = idx + 1
         for rule, rx in SIMPLE_RULES:
             if rx.search(line):
                 raw.append((lineno, rule, RULE_DOCS[rule]))
-        if not in_fabric and ATOMIC_RE.search(line):
+        if not in_pool and ATOMIC_RE.search(line):
             raw.append((lineno, "raw-atomic", RULE_DOCS["raw-atomic"]))
         # unordered-iteration: range-for or begin()/end() over a known name.
         tokens = None
