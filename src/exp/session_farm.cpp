@@ -173,6 +173,17 @@ class FabricPort {
 /// destroyed long before the shard finishes, so everything a session will
 /// ever report is captured the moment it completes.
 struct ShardSink {
+  /// Sized for `count` sessions, one entry per local index.
+  explicit ShardSink(std::size_t count)
+      : metrics(count),
+        churn(count),
+        arrival(count),
+        end(count),
+        sessions(count) {}
+
+  /// True once every one of the shard's sessions has completed.
+  [[nodiscard]] bool complete() const noexcept { return completed >= sessions; }
+
   std::vector<Metrics> metrics;              ///< per local index
   std::vector<protocols::ChurnReport> churn;  ///< per local index
   std::vector<double> arrival;  ///< begin times, filled by the pre-scan
@@ -185,6 +196,7 @@ struct ShardSink {
   std::uint64_t relay_installs = 0;     ///< hub installs (relay shards)
   std::uint64_t relay_refreshes = 0;    ///< hub refreshes (relay shards)
   std::uint64_t relay_soft_timeouts = 0;  ///< hub slot expiries
+  std::size_t sessions;  ///< the shard's session count
   std::size_t completed = 0;
   /// Hands a completed session's slot to the arena's cooling list.  Bound
   /// by the shard (captures one pointer; fits the std::function SBO, so
@@ -197,7 +209,7 @@ struct ShardSink {
   std::function<void(std::size_t)> fabric_done;
 };
 
-/// Per-session randomness: eight independent streams keyed to the session's
+/// Per-session randomness: nine independent streams keyed to the session's
 /// global index, mirroring the stream layout of the single-hop harness
 /// (the membership and scenario streams are consumed only by tree sessions
 /// that enable the corresponding workload).
@@ -462,8 +474,8 @@ class SingleHopSession {
 /// protocols::Topology -- one sender, relays at interior nodes, receivers
 /// at the leaves, per-edge channels.  Chain sessions run through this very
 /// class as fan-out-1 trees.  Measured over the lifetime window
-/// [arrival, arrival + lifetime], then silently torn down with
-/// Topology::stop().
+/// [arrival, arrival + lifetime], then torn down -- silently with
+/// Topology::stop(), or by explicit removal (see finish()).
 ///
 /// Tree sessions are arena-placed but NEVER recycled: quiescent() is
 /// constant false, so a finished tree stays constructed (absorbing
@@ -580,13 +592,18 @@ class TreeSession {
     inconsistent_.set(sim_.now(), all_ok ? 0.0 : 1.0);
   }
 
+  /// The lifetime event: ends the measurement window.  Inconsistency
+  /// tracking stops, churn and scenario processes freeze and pending
+  /// update/false-signal events are cancelled.  Without
+  /// SessionFarmOptions::teardown the tree is then stopped silently; with
+  /// it the sender issues an explicit remove() whose teardown messages
+  /// propagate down every branch during a grace period of one timeout
+  /// interval, and only then does the session complete, pricing the
+  /// teardown traffic into its message counts and the sink's
+  /// teardown_messages.
   void finish() {
-    if (options_.teardown) {
-      finish_with_teardown();
-      return;
-    }
     done_ = true;
-    const double end = sim_.now();
+    end_time_ = sim_.now();
     if (membership_) {
       membership_->finish();
       sink_.churn[local_] = membership_->report();
@@ -595,53 +612,6 @@ class TreeSession {
       // Cancel the pending crash/recovery/detection events BEFORE the
       // counters are frozen, so no scenario event straggles past the
       // window (the teardown tests pin a flat event pool).
-      failure_->stop();
-      sink_.relay_crashes += failure_->crashes();
-      sink_.relay_recoveries += failure_->recoveries();
-    }
-    // Counters frozen at window end: stragglers delivered to a stopped
-    // tree may still execute (and even re-install relay state briefly),
-    // and how many do depends on how long the shard keeps simulating --
-    // snapshotting keeps results independent of the shard decomposition.
-    const std::uint64_t messages = topology_->messages_sent();
-    const auto sent = static_cast<double>(messages);
-    Metrics& metrics = sink_.metrics[local_];
-    metrics.inconsistency = inconsistent_.mean(end);
-    metrics.session_length = lifetime_;
-    metrics.raw_message_rate = lifetime_ > 0.0 ? sent / lifetime_ : 0.0;
-    metrics.message_rate = metrics.raw_message_rate;
-    if (update_event_) {
-      sim_.cancel(*update_event_);
-      update_event_.reset();
-    }
-    for (auto& id : false_signal_events_) {
-      if (id) sim_.cancel(*id);
-    }
-    false_signal_events_.clear();
-    topology_->stop();
-    sink_.end[local_] = end;
-    sink_.messages += messages;
-    sink_.receiver_timeouts += topology_->relay_timeouts();
-    ++sink_.completed;
-    // No sink_.retire: the slot cools forever (never quiescent).
-  }
-
-  /// Explicit-teardown variant of finish() (SessionFarmOptions::teardown):
-  /// the window still ends now -- inconsistency tracking stops, churn and
-  /// scenario processes freeze, pending update/false-signal events are
-  /// cancelled -- but instead of silently stopping the tree, the sender
-  /// issues an explicit remove() whose teardown messages propagate down
-  /// every branch during a grace period of one timeout interval.  Only then
-  /// does the session finalize, pricing the teardown traffic into its
-  /// message counts and the sink's teardown_messages.
-  void finish_with_teardown() {
-    done_ = true;
-    end_time_ = sim_.now();
-    if (membership_) {
-      membership_->finish();
-      sink_.churn[local_] = membership_->report();
-    }
-    if (failure_) {
       failure_->stop();
       sink_.relay_crashes += failure_->crashes();
       sink_.relay_recoveries += failure_->recoveries();
@@ -655,25 +625,35 @@ class TreeSession {
     }
     false_signal_events_.clear();
     window_messages_ = topology_->messages_sent();
+    if (!options_.teardown) {
+      complete();
+      return;
+    }
     topology_->sender().remove();
-    sim_.schedule_in(params_.timeout_timer, [this] { finalize_teardown(); });
+    sim_.schedule_in(params_.timeout_timer, [this] { complete(); });
   }
 
-  void finalize_teardown() {
-    const double end = end_time_;
+  /// Records the session's metrics over the frozen window and stops the
+  /// tree.  Counters are read here, not later: stragglers delivered to a
+  /// stopped tree may still execute (and even re-install relay state
+  /// briefly), and how many do depends on how long the shard keeps
+  /// simulating -- snapshotting keeps results independent of the shard
+  /// decomposition.
+  void complete() {
     const std::uint64_t messages = topology_->messages_sent();
     const auto sent = static_cast<double>(messages);
     Metrics& metrics = sink_.metrics[local_];
-    metrics.inconsistency = inconsistent_.mean(end);
+    metrics.inconsistency = inconsistent_.mean(end_time_);
     metrics.session_length = lifetime_;
     metrics.raw_message_rate = lifetime_ > 0.0 ? sent / lifetime_ : 0.0;
     metrics.message_rate = metrics.raw_message_rate;
     topology_->stop();
     sink_.teardown_messages += messages - window_messages_;
-    sink_.end[local_] = end;
+    sink_.end[local_] = end_time_;
     sink_.messages += messages;
     sink_.receiver_timeouts += topology_->relay_timeouts();
     ++sink_.completed;
+    // No sink_.retire: the slot cools forever (never quiescent).
   }
 
   sim::Simulator& sim_;
@@ -692,8 +672,8 @@ class TreeSession {
   double lifetime_ = 0.0;
   std::int64_t version_ = 0;
   bool done_ = false;
-  double end_time_ = 0.0;              ///< teardown: the frozen window end
-  std::uint64_t window_messages_ = 0;  ///< teardown: count at window end
+  double end_time_ = 0.0;              ///< the frozen window end
+  std::uint64_t window_messages_ = 0;  ///< messages sent by window end
   sim::TimeWeightedValue inconsistent_;
   std::optional<sim::EventId> update_event_;
   std::vector<std::optional<sim::EventId>> false_signal_events_;
@@ -805,6 +785,28 @@ SessionFarmResult aggregate_outcomes(std::vector<ShardOutcome>& outcomes,
   return result;
 }
 
+/// Arrival pre-scan of the sessions [first, first + sink.sessions): pushes
+/// one arrival event per session, in session order, at the time the session
+/// will re-derive for itself at spawn -- the first draw of a fresh
+/// kSessionLifecycle stream -- and records it in the sink.  This reproduces
+/// the reference farm's construction-time pushes exactly (same times, same
+/// seq order), which is the base case of the bit-identity argument in the
+/// file comment.  `spawn(global_index, local)` is the arrival event's body.
+template <typename Spawn>
+void schedule_arrivals(sim::Simulator& sim, const SessionFarmOptions& options,
+                       std::size_t first, ShardSink& sink, Spawn spawn) {
+  const double window =
+      static_cast<double>(options.sessions) / options.arrival_rate;
+  for (std::size_t i = 0; i < sink.sessions; ++i) {
+    const auto g = static_cast<std::uint64_t>(first + i);
+    sim::Rng lifecycle(replica_seed(options.seed, g, 0),
+                       rng::kSessionLifecycle);
+    const double arrival = window * lifecycle.uniform();
+    sink.arrival[i] = arrival;
+    sim.schedule_at(arrival, [spawn, g, i] { spawn(g, i); });
+  }
+}
+
 /// Sessions [first, first + count) of the farm: one Simulator, one arena,
 /// one sink.  Construction pre-scans the arrivals; a shard worker then
 /// drives advance_slice() until complete().
@@ -817,36 +819,15 @@ class Shard {
       : kind_(kind),
         params_(params),
         options_(options),
-        first_(first),
-        count_(count),
+        sink_(count),
         sim_(options.event_queue),
         arena_(count) {
-    sink_.metrics.resize(count);
-    sink_.churn.resize(count);
-    sink_.arrival.resize(count);
-    sink_.end.resize(count);
     sink_.retire = [this](std::uint32_t slot) { arena_.retire(slot); };
-    // Arrival pre-scan: push one arrival event per session, in session
-    // order, at the time the session will re-derive for itself at spawn --
-    // the first draw of a fresh kSessionLifecycle stream.  This reproduces
-    // the reference farm's construction-time pushes exactly (same times,
-    // same seq order), which is the base case of the bit-identity argument
-    // in the file comment.
-    const double window =
-        static_cast<double>(options.sessions) / options.arrival_rate;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto g = static_cast<std::uint64_t>(first + i);
-      sim::Rng lifecycle(replica_seed(options.seed, g, 0),
-                         rng::kSessionLifecycle);
-      const double arrival = window * lifecycle.uniform();
-      sink_.arrival[i] = arrival;
-      sim_.schedule_at(arrival, [this, g, i] { spawn(g, i); });
-    }
+    schedule_arrivals(sim_, options, first, sink_,
+                      [this](std::uint64_t g, std::size_t i) { spawn(g, i); });
   }
 
-  [[nodiscard]] bool complete() const noexcept {
-    return sink_.completed >= count_;
-  }
+  [[nodiscard]] bool complete() const noexcept { return sink_.complete(); }
 
   /// Advances one time slice, anchored at the next pending event.  Returns
   /// as soon as the shard completes mid-slice (undispatched expiries are
@@ -878,8 +859,6 @@ class Shard {
   ProtocolKind kind_;
   const Params& params_;
   const SessionFarmOptions& options_;
-  std::size_t first_;
-  std::size_t count_;
   ShardSink sink_;
   sim::Simulator sim_;
   // Declared after sim_ so sessions are destroyed BEFORE the simulator
@@ -1050,33 +1029,19 @@ class SubscriberFabricShard final : public FabricShardBase {
         params_(params),
         options_(options),
         first_(first),
-        count_(count),
         participating_(options.shared_relays * options.subscribers_per_relay),
+        sink_(count),
         arena_(count),
         endpoints_(count, nullptr) {
-    sink_.metrics.resize(count);
-    sink_.churn.resize(count);
-    sink_.arrival.resize(count);
-    sink_.end.resize(count);
     sink_.retire = [this](std::uint32_t slot) { arena_.retire(slot); };
     sink_.fabric_done = [this](std::size_t local) {
       endpoints_[local] = nullptr;
     };
-    const double window =
-        static_cast<double>(options.sessions) / options.arrival_rate;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto g = static_cast<std::uint64_t>(first + i);
-      sim::Rng lifecycle(replica_seed(options.seed, g, 0),
-                         rng::kSessionLifecycle);
-      const double arrival = window * lifecycle.uniform();
-      sink_.arrival[i] = arrival;
-      sim_.schedule_at(arrival, [this, g, i] { spawn(g, i); });
-    }
+    schedule_arrivals(sim_, options, first, sink_,
+                      [this](std::uint64_t g, std::size_t i) { spawn(g, i); });
   }
 
-  [[nodiscard]] bool complete() const override {
-    return sink_.completed >= count_;
-  }
+  [[nodiscard]] bool complete() const override { return sink_.complete(); }
 
   ShardOutcome finish() override {
     ShardOutcome out = drain_sink(sink_, sim_);
@@ -1114,7 +1079,6 @@ class SubscriberFabricShard final : public FabricShardBase {
   const SingleHopParams& params_;
   const SessionFarmOptions& options_;
   std::size_t first_;
-  std::size_t count_;
   std::size_t participating_;
   ShardSink sink_;
   SessionArena<SingleHopSession> arena_;
@@ -1205,20 +1169,14 @@ class RelayFabricShard final : public FabricShardBase {
         params_(params),
         options_(options),
         first_relay_(first_relay),
-        count_(count) {
-    sink_.metrics.resize(count);
-    sink_.churn.resize(count);
-    sink_.arrival.resize(count);
-    sink_.end.resize(count);
+        sink_(count) {
+    // Relays arrive at t = 0 (the sink's arrival times are already zero).
     for (std::size_t i = 0; i < count; ++i) {
-      sink_.arrival[i] = 0.0;
       sim_.schedule_at(0.0, [this, i] { spawn(i); });
     }
   }
 
-  [[nodiscard]] bool complete() const override {
-    return sink_.completed >= count_;
-  }
+  [[nodiscard]] bool complete() const override { return sink_.complete(); }
 
   ShardOutcome finish() override {
     ShardOutcome out = drain_sink(sink_, sim_);
@@ -1255,7 +1213,6 @@ class RelayFabricShard final : public FabricShardBase {
   const SingleHopParams& params_;
   const SessionFarmOptions& options_;
   std::size_t first_relay_;
-  std::size_t count_;
   ShardSink sink_;
   /// Spawn events run in local order at t = 0, so relays_[i] is relay i.
   std::deque<RelaySession> relays_;

@@ -58,9 +58,8 @@ struct SessionFarmOptions {
   double delay_shape = 1.5;
   /// Sessions per shard (per Simulator).  Shard boundaries are fixed by
   /// this value alone, so results do not depend on the thread count; they
-  /// do not depend on the shard size either (see the file comment), which
-  /// lets the scale bench pit one 100k-session simulator against many
-  /// small ones and get the same numbers.
+  /// do not depend on the shard size either (see the file comment): one
+  /// 100k-session simulator and many small ones give the same numbers.
   std::size_t shard_size = 4096;
   /// Worker threads when no engine is passed (0 = hardware concurrency).
   std::size_t threads = 0;
@@ -85,10 +84,10 @@ struct SessionFarmOptions {
   /// enabled scenario (there is no tree to crash or burst).
   protocols::ScenarioOptions scenario;
   /// When true, SessionFarmResult::per_session carries every session's
-  /// Metrics in global session order -- the differential suite, the farm
-  /// golden digests and the scale bench's determinism check diff these
-  /// element-wise.  Off by default: a million-session run should not haul
-  /// a million Metrics back unless asked.
+  /// Metrics in global session order -- the differential suite diffs these
+  /// element-wise; the farm golden digests and farmbench's pins hash them.
+  /// Off by default: a million-session run should not haul a million
+  /// Metrics back unless asked.
   bool keep_per_session = false;
   /// Shared relay sessions (single-hop farms only).  0 -- the default --
   /// runs the exact pre-fabric farm code path, bit for bit.  R > 0 adds R

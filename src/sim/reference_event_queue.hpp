@@ -1,12 +1,11 @@
 // Reference pending-event set: the naive, pre-pooling implementation kept
-// ONLY for differential testing and benchmarking of sim::EventQueue.  It is
-// deliberately simple and obviously correct: std::function callbacks in an
-// unordered_map keyed by sequence number, a lazily-deleted binary heap of
-// (time, seq), and an unordered_set of cancelled sequence numbers, with the
-// same compaction bound as the production queue.  Nothing in the simulator
+// ONLY for differential testing of sim::EventQueue.  It is deliberately
+// simple and obviously correct: std::function callbacks in an unordered_map
+// keyed by sequence number, a lazily-deleted binary heap of (time, seq), and
+// an unordered_set of cancelled sequence numbers, with the same compaction
+// bound as the production queue.  Nothing in the simulator
 // links against it; tests drive it and sim::EventQueue through identical
-// operation streams and assert identical pop sequences, and bench/perf_scale
-// reports the pooled queue's speedup over it.
+// operation streams and assert identical pop sequences.
 #pragma once
 
 #include <algorithm>

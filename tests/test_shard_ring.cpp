@@ -51,6 +51,20 @@ TEST(RingSpsc, GrowthBeforeFirstSliceRelocatesAndThenStaysFlat) {
   }
   EXPECT_EQ(ring.capacity(), warm);
   EXPECT_EQ(ring.pushed(), 200u);
+
+  // A ring whose traffic never exceeds its hint -- the farm's pattern of
+  // batches drained after every barrier -- keeps the reserved capacity.
+  ShardRing hinted(1024);
+  const std::size_t reserved = hinted.capacity();
+  EXPECT_GE(reserved, 1024u);
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    hinted.push(entry(5.0, 7, i));
+    if (hinted.size() >= 512) {
+      drained.clear();
+      EXPECT_EQ(hinted.drain(drained), 512u);
+    }
+  }
+  EXPECT_EQ(hinted.capacity(), reserved);
 }
 
 TEST(RingSpsc, DrainTakesSnapshotAndAppends) {
