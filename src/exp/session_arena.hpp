@@ -16,7 +16,9 @@
 // can still reference the object.  Session types that cannot cheaply prove
 // quiescence (tree sessions) simply never retire; their slots live until
 // the arena is destroyed, which matches the pre-arena farm's memory
-// behavior exactly.
+// behavior exactly.  A finished tree session with membership still holds
+// one pending leaf timer per leaf, and cancelling them would change the
+// farm's event counts (see the TreeSession class comment).
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,6 @@
 // Arena-backed farm execution layer.
 //
-// Three structural changes over the task-per-shard farm that
+// Four structural changes over the task-per-shard farm that
 // tests/reference_session_farm.cpp preserves (and the differential suite
 // diffs against, element-wise per session):
 //
@@ -17,9 +17,13 @@
 //    Simulator in time slices (Simulator::run_slice), with batched
 //    timer-expiry delivery amortizing queue pops on the refresh-storm hot
 //    path.
-//  * Exact peak_sessions_in_flight: the reduce step merges every session's
-//    [begin, completion] endpoints across shards and sweeps them globally,
-//    replacing the summed-per-shard upper bound.
+//  * Results written in place: one farm-wide FarmStore holds every
+//    session's Metrics, begin and completion times (and churn report, when
+//    sessions own a MembershipController) by global index; each shard's
+//    ShardSink is a view of its slice, so shards hand back only counters
+//    and the reduce reads the store directly.  Its exact
+//    peak_sessions_in_flight sweeps every session's [begin, completion]
+//    endpoints globally, replacing the summed-per-shard upper bound.
 //
 // The determinism contract is unchanged and load-bearing: per-session
 // randomness stays keyed to the global session index, shard boundaries stay
@@ -48,6 +52,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -129,9 +134,10 @@ class FabricPort;
 /// half), its global index, and its private send counter -- the seq of the
 /// delivery stamp.  Per-SESSION, not per-ring or per-shard: only a counter
 /// keyed to the global index survives re-sharding unchanged, which is what
-/// keeps the stamp order shard-size-invariant.  Sessions hold this by
-/// value; the FabricSend closures capture one pointer to it (so they stay
-/// inside the std::function small-buffer and sends never allocate).
+/// keeps the stamp order shard-size-invariant.  RelayLink and RelaySession
+/// hold this by value; their FabricSend closures capture one pointer (so
+/// they stay inside the std::function small-buffer and sends never
+/// allocate).
 struct FabricCtx {
   FabricPort* port = nullptr;
   std::uint64_t source = 0;  ///< sending session's global index
@@ -166,28 +172,58 @@ class FabricPort {
   FabricMap map_;
 };
 
-/// Where sessions deposit their results, indexed by the session's local
+/// Per-session results of one farm call, indexed by GLOBAL session index
+/// (relay sessions at [sessions, sessions + relays)).  Allocated once per
+/// call; every shard writes its own slice in place through a ShardSink, and
+/// the reduce reads the store directly -- no per-shard copies, no
+/// concatenation.  `churn` is empty unless sessions own a
+/// MembershipController (see sessions_own_membership).
+struct FarmStore {
+  FarmStore(std::size_t total, bool with_churn)
+      : metrics(total),
+        arrival(total),
+        end(total),
+        churn(with_churn ? total : 0) {}
+
+  std::vector<Metrics> metrics;
+  std::vector<double> arrival;  ///< begin times, filled by the pre-scan
+  std::vector<double> end;      ///< completion times, filled on completion
+  std::vector<protocols::ChurnReport> churn;
+};
+
+/// True when the farm's sessions own a MembershipController: leaf churn, or
+/// a scenario with membership processes (modulated arrivals, shared-risk
+/// bursts).  TreeSession builds its controller by this predicate and the
+/// farm sizes FarmStore::churn by it, so the two cannot drift.
+bool sessions_own_membership(const SessionFarmOptions& options) {
+  return options.leaf_churn.enabled() ||
+         options.scenario.membership_processes();
+}
+
+/// Where sessions deposit their results: a view of the shard's slice
+/// [first, first + count) of the farm store, indexed by the session's local
 /// (within-shard) index so completion order cannot affect anything.
 /// Completion-time recording replaces the reference farm's
 /// read-the-session-at-shard-end extraction: recycled sessions are
 /// destroyed long before the shard finishes, so everything a session will
 /// ever report is captured the moment it completes.
 struct ShardSink {
-  /// Sized for `count` sessions, one entry per local index.
-  explicit ShardSink(std::size_t count)
-      : metrics(count),
-        churn(count),
-        arrival(count),
-        end(count),
+  ShardSink(FarmStore& store, std::size_t first, std::size_t count)
+      : metrics(std::span(store.metrics).subspan(first, count)),
+        arrival(std::span(store.arrival).subspan(first, count)),
+        end(std::span(store.end).subspan(first, count)),
+        churn(store.churn.empty()
+                  ? std::span<protocols::ChurnReport>()
+                  : std::span(store.churn).subspan(first, count)),
         sessions(count) {}
 
   /// True once every one of the shard's sessions has completed.
   [[nodiscard]] bool complete() const noexcept { return completed >= sessions; }
 
-  std::vector<Metrics> metrics;              ///< per local index
-  std::vector<protocols::ChurnReport> churn;  ///< per local index
-  std::vector<double> arrival;  ///< begin times, filled by the pre-scan
-  std::vector<double> end;      ///< completion times, filled on completion
+  std::span<Metrics> metrics;
+  std::span<double> arrival;
+  std::span<double> end;
+  std::span<protocols::ChurnReport> churn;  ///< empty without membership
   std::uint64_t messages = 0;
   std::uint64_t receiver_timeouts = 0;
   std::uint64_t relay_crashes = 0;
@@ -209,47 +245,85 @@ struct ShardSink {
   std::function<void(std::size_t)> fabric_done;
 };
 
-/// Per-session randomness: nine independent streams keyed to the session's
-/// global index, mirroring the stream layout of the single-hop harness
-/// (the membership and scenario streams are consumed only by tree sessions
-/// that enable the corresponding workload).
-/// The stream IDs come from the registry in core/rng_streams.hpp -- the
-/// farm layout and the single-hop harness layout are the SAME constants,
-/// which is what makes the mirroring self-evident.
-struct SessionRngs {
+/// The streams a single-hop session draws, from its per-session seed
+/// (replica_seed keyed to the global index, replica lane 0 -- the substream
+/// split happens in sim::Rng's stream argument).  The stream IDs come from
+/// the registry in core/rng_streams.hpp, the same constants the single-hop
+/// harness uses, so leaving out a stream changes no other stream's draws:
+/// single-hop farms reject churn and scenarios, so the membership and
+/// scenario streams are never drawn, and the relay stream lives in the
+/// fabric shard's RelayLink.
+struct SingleHopRngs {
+  explicit SingleHopRngs(std::uint64_t seed)
+      : channel(seed, rng::kSessionChannel),
+        sender(seed, rng::kSessionSender),
+        receiver(seed, rng::kSessionReceiver),
+        lifecycle(seed, rng::kSessionLifecycle),
+        failure(seed, rng::kSessionFailure) {}
+
   sim::Rng channel;
   sim::Rng sender;
   sim::Rng receiver;
   sim::Rng lifecycle;
   sim::Rng failure;
+};
+
+/// The streams a tree session draws (seeded as SingleHopRngs): every node
+/// of its Topology draws from the channel and sender streams, so there is
+/// no receiver stream, and trees never talk to shared relays.  The
+/// membership and scenario streams are consumed only when the
+/// corresponding workload is enabled.
+struct TreeRngs {
+  explicit TreeRngs(std::uint64_t seed)
+      : channel(seed, rng::kSessionChannel),
+        sender(seed, rng::kSessionSender),
+        lifecycle(seed, rng::kSessionLifecycle),
+        failure(seed, rng::kSessionFailure),
+        membership(seed, rng::kSessionMembership),
+        scenario_arrival(seed, rng::kSessionScenarioArrival),
+        scenario_failure(seed, rng::kSessionScenarioFailure) {}
+
+  sim::Rng channel;
+  sim::Rng sender;
+  sim::Rng lifecycle;
+  sim::Rng failure;
   sim::Rng membership;
   sim::Rng scenario_arrival;
   sim::Rng scenario_failure;
-  sim::Rng relay;
+};
 
-  SessionRngs(std::uint64_t base_seed, std::uint64_t global_index)
-      : channel(session_seed(base_seed, global_index), rng::kSessionChannel),
-        sender(session_seed(base_seed, global_index), rng::kSessionSender),
-        receiver(session_seed(base_seed, global_index), rng::kSessionReceiver),
-        lifecycle(session_seed(base_seed, global_index),
-                  rng::kSessionLifecycle),
-        failure(session_seed(base_seed, global_index), rng::kSessionFailure),
-        membership(session_seed(base_seed, global_index),
-                   rng::kSessionMembership),
-        scenario_arrival(session_seed(base_seed, global_index),
-                         rng::kSessionScenarioArrival),
-        scenario_failure(session_seed(base_seed, global_index),
-                         rng::kSessionScenarioFailure),
-        relay(session_seed(base_seed, global_index), rng::kSessionRelay) {}
+/// The run's timer settings, shared by every engine and relay endpoint.
+template <typename Params>
+protocols::TimerSettings timer_settings(const SessionFarmOptions& options,
+                                        const Params& params) {
+  return protocols::TimerSettings{options.timer_dist, params.refresh_timer,
+                                  params.timeout_timer, params.retrans_timer};
+}
 
- private:
-  /// The per-session seed family: replica_seed keyed to the session's
-  /// global index (replica lane 0 -- the substream split happens in
-  /// sim::Rng's stream argument, not here).
-  static std::uint64_t session_seed(std::uint64_t base_seed,
-                                    std::uint64_t global_index) {
-    return replica_seed(base_seed, global_index, 0);
-  }
+/// A subscriber's relay-facing state in a fabric run: its kSessionRelay
+/// stream, its fabric identity and the RelayClient that installs its state
+/// at a shared relay.  Owned by the subscriber shard, one per arena slot,
+/// and rebuilt in place for each participating session that takes the
+/// slot, so relay-free sessions carry none of it and the links grow with
+/// the arena's slots, not with the sessions the shard ever started.
+/// Immovable: the client's send closure captures `this`.
+struct RelayLink {
+  RelayLink(sim::Simulator& sim, const SingleHopParams& params,
+            const SessionFarmOptions& options, FabricPort* port,
+            std::uint64_t self, std::uint64_t relay)
+      : rng(replica_seed(options.seed, self, 0), rng::kSessionRelay),
+        ctx{port, self, 0},
+        client(sim, rng, timer_settings(options, params), relay,
+               [this](std::uint64_t dest, const Message& m) {
+                 ctx.port->send(ctx, dest, m);
+               }) {}
+
+  RelayLink(const RelayLink&) = delete;
+  RelayLink& operator=(const RelayLink&) = delete;
+
+  sim::Rng rng;
+  FabricCtx ctx;  ///< `self` is the source half of every outgoing stamp
+  protocols::RelayClient client;
 };
 
 /// One single-hop session: arrival -> install -> updates -> removal ->
@@ -273,7 +347,7 @@ class SingleHopSession {
         mech_(mechanisms(kind)),
         sink_(sink),
         local_(local),
-        rngs_(options.seed, global_index),
+        rngs_(replica_seed(options.seed, global_index, 0)),
         forward_(sim, rngs_.channel, params.loss_config(),
                  sim::DelayConfig{options.delay_model, params.delay,
                                   options.delay_shape},
@@ -282,18 +356,11 @@ class SingleHopSession {
                  sim::DelayConfig{options.delay_model, params.delay,
                                   options.delay_shape},
                  [this](const Message& m) { sender_.handle(m); }),
-        sender_(sim_, rngs_.sender, mech_,
-                protocols::TimerSettings{options.timer_dist,
-                                         params.refresh_timer,
-                                         params.timeout_timer,
-                                         params.retrans_timer},
+        sender_(sim_, rngs_.sender, mech_, timer_settings(options, params),
                 forward_, [this] { on_change(); }),
         receiver_(sim_, rngs_.receiver, mech_,
-                  protocols::TimerSettings{options.timer_dist,
-                                           params.refresh_timer,
-                                           params.timeout_timer,
-                                           params.retrans_timer},
-                  reverse_, [this] { on_change(); }) {
+                  timer_settings(options, params), reverse_,
+                  [this] { on_change(); }) {
     // Staggered Poisson arrivals: conditioned on N arrivals in the window,
     // arrival times are iid uniform over it -- and drawing from the
     // session's own stream keys the time to the global index alone.  The
@@ -308,26 +375,13 @@ class SingleHopSession {
   /// The arena slot this session occupies; handed back on retirement.
   void set_slot(std::uint32_t slot) noexcept { slot_ = slot; }
 
-  /// Fabric runs only, before begin(): wires a RelayClient that installs
-  /// this session's state at relay session `relay` (global index) across
-  /// the cross-shard fabric.  `self` is this session's global index -- the
-  /// source half of every outgoing stamp and the installed value.
-  void attach_relay(FabricPort* port, std::uint64_t self,
-                    std::uint64_t relay) {
-    fabric_ctx_ = FabricCtx{port, self, 0};
-    relay_client_.emplace(
-        sim_, rngs_.relay,
-        protocols::TimerSettings{options_.timer_dist, params_.refresh_timer,
-                                 params_.timeout_timer,
-                                 params_.retrans_timer},
-        relay, [ctx = &fabric_ctx_](std::uint64_t dest, const Message& m) {
-          ctx->port->send(*ctx, dest, m);
-        });
-  }
+  /// Fabric runs only, before begin(): routes this session's state to a
+  /// shared relay through `link`, which its shard built for this session.
+  void attach_relay(RelayLink* link) noexcept { relay_ = link; }
 
   /// A fabric delivery addressed to this session (relay echoes).
   void deliver_fabric(const Message& message) {
-    if (relay_client_) relay_client_->handle(message);
+    if (relay_ != nullptr) relay_->client.handle(message);
   }
 
   /// Starts the session (the body of its arrival event).
@@ -346,8 +400,8 @@ class SingleHopSession {
     if (mech_.external_failure_detector && params_.false_signal_rate > 0.0) {
       schedule_false_signal();
     }
-    if (relay_client_) {
-      relay_client_->start(static_cast<std::int64_t>(fabric_ctx_.source));
+    if (relay_ != nullptr) {
+      relay_->client.start(static_cast<std::int64_t>(relay_->ctx.source));
     }
     on_change();
   }
@@ -409,12 +463,12 @@ class SingleHopSession {
     // straggler events the shard's simulator happened to execute afterwards.
     std::uint64_t messages =
         forward_.counters().sent + reverse_.counters().sent;
-    if (relay_client_) {
+    if (relay_ != nullptr) {
       // Goodbye before the count: the REMOVE is part of the session's
       // priced traffic, and stop() also cancels the refresh timer so the
-      // recycled slot leaves no dangling event behind.
-      relay_client_->stop();
-      messages += relay_client_->messages_sent();
+      // link can be rebuilt for the slot's next session.
+      relay_->client.stop();
+      messages += relay_->client.messages_sent();
     }
     const auto sent = static_cast<double>(messages);
     Metrics& metrics = sink_.metrics[local_];
@@ -449,7 +503,7 @@ class SingleHopSession {
   ShardSink& sink_;
   std::size_t local_;
   std::uint32_t slot_ = 0;
-  SessionRngs rngs_;
+  SingleHopRngs rngs_;
   MessageChannel forward_;
   MessageChannel reverse_;
   protocols::SenderEngine sender_;
@@ -464,10 +518,7 @@ class SingleHopSession {
   std::optional<sim::EventId> update_event_;
   std::optional<sim::EventId> removal_event_;
   std::optional<sim::EventId> false_signal_event_;
-  // Fabric runs only (both empty/inactive otherwise).  The optional holds
-  // the immovable RelayClient in place -- emplace-only, never moved.
-  FabricCtx fabric_ctx_;
-  std::optional<protocols::RelayClient> relay_client_;
+  RelayLink* relay_ = nullptr;  ///< fabric subscribers only
 };
 
 /// One tree session: arrival -> start -> updates over a full
@@ -481,9 +532,15 @@ class SingleHopSession {
 /// constant false, so a finished tree stays constructed (absorbing
 /// stragglers harmlessly) until the arena is destroyed -- the same memory
 /// behavior as the reference farm, which keeps every session alive to the
-/// end of its shard.  Proving tree quiescence would need in-flight
-/// accounting across every edge of every session for a workload (the 1M
-/// scale leg is single-hop) that does not recycle anyway.
+/// end of its shard.  Recycling would need more than in-flight accounting
+/// on every edge: with membership, a finished session still holds one
+/// pending leaf timer per leaf (MembershipController's join/leave handlers
+/// return early once it is finished, they do not cancel), and cancelling
+/// those timers would lower events_executed, which the farm's pins fix.
+/// Left pending, the last of 16 leaf timers at a 30 s mean lifetime fires
+/// about 30 * H_16 ~= 101 s after finish on average -- past a 100 s
+/// arrival window even for a session that arrives at t = 0, so recycling
+/// would not lower such a farm's peak slot count.
 class TreeSession {
  public:
   TreeSession(sim::Simulator& sim, ProtocolKind kind,
@@ -496,10 +553,7 @@ class TreeSession {
         mech_(mechanisms(kind)),
         sink_(sink),
         local_(local),
-        rngs_(options.seed, global_index) {
-    protocols::TimerSettings timers{options.timer_dist, params.refresh_timer,
-                                    params.timeout_timer,
-                                    params.retrans_timer};
+        rngs_(replica_seed(options.seed, global_index, 0)) {
     std::vector<sim::LossConfig> edge_loss;
     std::vector<sim::DelayConfig> edge_delay;
     edge_loss.reserve(params.edges());
@@ -511,10 +565,10 @@ class TreeSession {
                                             options.delay_shape});
     }
     topology_ = std::make_unique<protocols::Topology>(
-        sim, rngs_.channel, rngs_.sender, mech_, timers, params.tree,
+        sim, rngs_.channel, rngs_.sender, mech_,
+        timer_settings(options, params), params.tree,
         edge_loss, edge_delay, [this] { on_change(); });
-    if (options.leaf_churn.enabled() ||
-        options.scenario.membership_processes()) {
+    if (sessions_own_membership(options)) {
       membership_ = std::make_unique<protocols::MembershipController>(
           sim, *topology_, rngs_.membership, options.leaf_churn,
           options.scenario, &rngs_.scenario_arrival, [this] { on_change(); });
@@ -663,7 +717,7 @@ class TreeSession {
   ShardSink& sink_;
   std::size_t local_;
   std::uint32_t slot_ = 0;
-  SessionRngs rngs_;
+  TreeRngs rngs_;
   std::unique_ptr<protocols::Topology> topology_;
   std::unique_ptr<protocols::MembershipController> membership_;
   std::unique_ptr<protocols::RelayFailureProcess> failure_;
@@ -679,15 +733,9 @@ class TreeSession {
   std::vector<std::optional<sim::EventId>> false_signal_events_;
 };
 
-/// Everything one shard reports back to the aggregator.
+/// The counters one shard reports back to the aggregator (its per-session
+/// results are already in place in the farm store).
 struct ShardOutcome {
-  std::vector<Metrics> per_session;  ///< in global session order
-  /// Per-session churn reports in global session order: summed by the
-  /// aggregator in that order, so the reduced report cannot depend on the
-  /// shard decomposition (floating-point addition is order-sensitive).
-  std::vector<protocols::ChurnReport> per_session_churn;
-  std::vector<double> arrival;  ///< per-session begin times
-  std::vector<double> end;      ///< per-session completion times
   std::uint64_t messages = 0;
   std::uint64_t events = 0;
   std::uint64_t receiver_timeouts = 0;
@@ -703,14 +751,10 @@ struct ShardOutcome {
   std::size_t arena_chunks = 0;
 };
 
-/// Moves a completed shard's sink into a ShardOutcome (shared by the base
-/// farm shard and both fabric shard types; call once).
-ShardOutcome drain_sink(ShardSink& sink, const sim::Simulator& sim) {
+/// A completed shard's counters (shared by the base farm shard and both
+/// fabric shard types).
+ShardOutcome outcome_of(const ShardSink& sink, const sim::Simulator& sim) {
   ShardOutcome out;
-  out.per_session = std::move(sink.metrics);
-  out.per_session_churn = std::move(sink.churn);
-  out.arrival = std::move(sink.arrival);
-  out.end = std::move(sink.end);
   out.messages = sink.messages;
   out.receiver_timeouts = sink.receiver_timeouts;
   out.relay_crashes = sink.relay_crashes;
@@ -724,26 +768,17 @@ ShardOutcome drain_sink(ShardSink& sink, const sim::Simulator& sim) {
   return out;
 }
 
-/// Reduces completed shard outcomes, in shard (= global session) order,
-/// into a SessionFarmResult.  Shared by the base farm and the fabric farm;
-/// `total_sessions` is only a reserve hint.
-SessionFarmResult aggregate_outcomes(std::vector<ShardOutcome>& outcomes,
-                                     const SessionFarmOptions& options,
-                                     std::size_t total_sessions) {
+/// Reduces the completed farm -- shard counters in shard order, per-session
+/// results straight from the store in global session order -- into a
+/// SessionFarmResult.  Shared by the base farm and the fabric farm.
+/// Consumes the store: its arrival/end vectors are sorted in place and its
+/// metrics move into per_session.
+SessionFarmResult aggregate_outcomes(const std::vector<ShardOutcome>& outcomes,
+                                     FarmStore& store,
+                                     const SessionFarmOptions& options) {
   SessionFarmResult result;
   result.shards = outcomes.size();
-  std::vector<Metrics> all_sessions;
-  all_sessions.reserve(total_sessions);
-  std::vector<double> starts;
-  std::vector<double> ends;
-  starts.reserve(total_sessions);
-  ends.reserve(total_sessions);
-  for (ShardOutcome& outcome : outcomes) {
-    all_sessions.insert(all_sessions.end(), outcome.per_session.begin(),
-                        outcome.per_session.end());
-    for (const protocols::ChurnReport& churn : outcome.per_session_churn) {
-      result.churn.absorb(churn);
-    }
+  for (const ShardOutcome& outcome : outcomes) {
     result.messages += outcome.messages;
     result.events_executed += outcome.events;
     result.receiver_timeouts += outcome.receiver_timeouts;
@@ -758,14 +793,18 @@ SessionFarmResult aggregate_outcomes(std::vector<ShardOutcome>& outcomes,
     result.arena_slot_high_water =
         std::max(result.arena_slot_high_water, outcome.arena_high_water);
     result.arena_chunk_allocations += outcome.arena_chunks;
-    starts.insert(starts.end(), outcome.arrival.begin(), outcome.arrival.end());
-    ends.insert(ends.end(), outcome.end.begin(), outcome.end.end());
   }
-  // Exact global peak: merge every session's [begin, completion] endpoints
-  // across shards and sweep.  A start at exactly an end's time counts as
-  // overlapping (starts first at ties), matching the in-simulator
-  // convention that a session is in flight from begin() through its
-  // completion event.
+  // Summed in global session order, so the reduced report cannot depend on
+  // the shard decomposition (floating-point addition is order-sensitive).
+  for (const protocols::ChurnReport& churn : store.churn) {
+    result.churn.absorb(churn);
+  }
+  // Exact global peak: sweep every session's [begin, completion] endpoints.
+  // A start at exactly an end's time counts as overlapping (starts first at
+  // ties), matching the in-simulator convention that a session is in
+  // flight from begin() through its completion event.
+  std::vector<double>& starts = store.arrival;
+  std::vector<double>& ends = store.end;
   std::sort(starts.begin(), starts.end());
   std::sort(ends.begin(), ends.end());
   std::size_t active = 0;
@@ -779,9 +818,9 @@ SessionFarmResult aggregate_outcomes(std::vector<ShardOutcome>& outcomes,
     result.peak_sessions_in_flight =
         std::max(result.peak_sessions_in_flight, active);
   }
-  result.sessions = all_sessions.size();
-  result.summary = summarize_replicas(all_sessions);
-  if (options.keep_per_session) result.per_session = std::move(all_sessions);
+  result.sessions = store.metrics.size();
+  result.summary = summarize_replicas(store.metrics);
+  if (options.keep_per_session) result.per_session = std::move(store.metrics);
   return result;
 }
 
@@ -814,12 +853,12 @@ template <typename Session, typename Params>
 class Shard {
  public:
   Shard(ProtocolKind kind, const Params& params,
-        const SessionFarmOptions& options, std::size_t first,
-        std::size_t count)
+        const SessionFarmOptions& options, FarmStore& store,
+        std::size_t first, std::size_t count)
       : kind_(kind),
         params_(params),
         options_(options),
-        sink_(count),
+        sink_(store, first, count),
         sim_(options.event_queue),
         arena_(count) {
     sink_.retire = [this](std::uint32_t slot) { arena_.retire(slot); };
@@ -840,9 +879,9 @@ class Shard {
     sim_.run_slice(*next + kSliceSeconds, [this] { return complete(); });
   }
 
-  /// Extracts the shard's results (call once, after completion).
+  /// The shard's counters (call after completion).
   ShardOutcome finish() {
-    ShardOutcome out = drain_sink(sink_, sim_);
+    ShardOutcome out = outcome_of(sink_, sim_);
     out.arena_high_water = arena_.slot_capacity();
     out.arena_chunks = arena_.chunk_allocations();
     return out;
@@ -894,6 +933,7 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
   // wall-clock time.
   const std::size_t workers =
       std::max<std::size_t>(1, std::min(engine->threads(), shards));
+  FarmStore store(n, sessions_own_membership(options));
   std::vector<ShardOutcome> outcomes(shards);
   parallel_for(engine->pool(), workers, [&](std::size_t w) {
     std::vector<std::unique_ptr<Shard<Session, Params>>> owned;
@@ -901,7 +941,7 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
       const std::size_t first = s * shard_size;
       const std::size_t count = std::min(shard_size, n - first);
       owned.push_back(std::make_unique<Shard<Session, Params>>(
-          kind, params, options, first, count));
+          kind, params, options, store, first, count));
     }
     bool all_done = false;
     while (!all_done) {
@@ -918,7 +958,7 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
     }
   });
 
-  return aggregate_outcomes(outcomes, options, n);
+  return aggregate_outcomes(outcomes, store, options);
 }
 
 // ------------------------------------------------------ the fabric farm --
@@ -1014,23 +1054,24 @@ class FabricShardBase : public FabricShard {
 
 /// A subscriber shard of the fabric farm: ordinary single-hop farm sessions
 /// (same arena, same arrival pre-scan, same recycling), the first
-/// relays * subscribers_per_relay of which carry a RelayClient wired to the
-/// shard's fabric port.  An endpoint table, nulled at completion, routes
-/// incoming relay echoes; late echoes are dropped deterministically.
+/// relays * subscribers_per_relay of which talk to a shared relay through
+/// a RelayLink the shard keeps for their arena slot.  An endpoint table,
+/// nulled at completion, routes incoming relay echoes; late echoes are
+/// dropped deterministically.
 class SubscriberFabricShard final : public FabricShardBase {
  public:
   SubscriberFabricShard(ProtocolKind kind, const SingleHopParams& params,
                         const SessionFarmOptions& options,
                         const FabricMap& map, CrossShardFabric& fabric,
-                        std::uint32_t shard_id, std::size_t first,
-                        std::size_t count)
+                        FarmStore& store, std::uint32_t shard_id,
+                        std::size_t first, std::size_t count)
       : FabricShardBase(options, fabric, shard_id, map),
         kind_(kind),
         params_(params),
         options_(options),
         first_(first),
         participating_(options.shared_relays * options.subscribers_per_relay),
-        sink_(count),
+        sink_(store, first, count),
         arena_(count),
         endpoints_(count, nullptr) {
     sink_.retire = [this](std::uint32_t slot) { arena_.retire(slot); };
@@ -1044,7 +1085,7 @@ class SubscriberFabricShard final : public FabricShardBase {
   [[nodiscard]] bool complete() const override { return sink_.complete(); }
 
   ShardOutcome finish() override {
-    ShardOutcome out = drain_sink(sink_, sim_);
+    ShardOutcome out = outcome_of(sink_, sim_);
     out.fabric_dropped = dropped_;
     out.arena_high_water = arena_.slot_capacity();
     out.arena_chunks = arena_.chunk_allocations();
@@ -1059,7 +1100,12 @@ class SubscriberFabricShard final : public FabricShardBase {
     if (global_index < participating_) {
       const auto relay = static_cast<std::uint64_t>(
           options_.sessions + global_index % options_.shared_relays);
-      session->attach_relay(&port_, global_index, relay);
+      // The slot's previous occupant was quiescent, its client stopped:
+      // no pending event or fabric route still reaches the old link.
+      while (links_.size() <= slot) links_.emplace_back();
+      std::optional<RelayLink>& link = links_[slot];
+      link.emplace(sim_, params_, options_, &port_, global_index, relay);
+      session->attach_relay(&*link);
       endpoints_[local] = session;
     }
     session->begin();
@@ -1081,6 +1127,9 @@ class SubscriberFabricShard final : public FabricShardBase {
   std::size_t first_;
   std::size_t participating_;
   ShardSink sink_;
+  /// Relay links by arena slot (a deque: growing never moves a link).
+  /// Declared before arena_, so sessions are destroyed before their links.
+  std::deque<std::optional<RelayLink>> links_;
   SessionArena<SingleHopSession> arena_;
   /// Live fabric endpoints by local index (nullptr = not participating or
   /// already completed).
@@ -1105,11 +1154,7 @@ class RelaySession {
         local_(local),
         rng_(replica_seed(options.seed, global_index, 0), rng::kSessionRelay),
         fabric_ctx_{port, global_index, 0},
-        hub_(sim, rng_, mechanisms(kind),
-             protocols::TimerSettings{options.timer_dist,
-                                      params.refresh_timer,
-                                      params.timeout_timer,
-                                      params.retrans_timer},
+        hub_(sim, rng_, mechanisms(kind), timer_settings(options, params),
              std::move(subscribers),
              [this](std::uint64_t dest, const Message& m) {
                fabric_ctx_.port->send(fabric_ctx_, dest, m);
@@ -1162,15 +1207,16 @@ class RelayFabricShard final : public FabricShardBase {
  public:
   RelayFabricShard(ProtocolKind kind, const SingleHopParams& params,
                    const SessionFarmOptions& options, const FabricMap& map,
-                   CrossShardFabric& fabric, std::uint32_t shard_id,
-                   std::size_t first_relay, std::size_t count)
+                   CrossShardFabric& fabric, FarmStore& store,
+                   std::uint32_t shard_id, std::size_t first_relay,
+                   std::size_t count)
       : FabricShardBase(options, fabric, shard_id, map),
         kind_(kind),
         params_(params),
         options_(options),
         first_relay_(first_relay),
-        sink_(count) {
-    // Relays arrive at t = 0 (the sink's arrival times are already zero).
+        sink_(store, options.sessions + first_relay, count) {
+    // Relays arrive at t = 0 (the store's arrival times are already zero).
     for (std::size_t i = 0; i < count; ++i) {
       sim_.schedule_at(0.0, [this, i] { spawn(i); });
     }
@@ -1179,7 +1225,7 @@ class RelayFabricShard final : public FabricShardBase {
   [[nodiscard]] bool complete() const override { return sink_.complete(); }
 
   ShardOutcome finish() override {
-    ShardOutcome out = drain_sink(sink_, sim_);
+    ShardOutcome out = outcome_of(sink_, sim_);
     for (const RelaySession& relay : relays_) {
       out.fabric_dropped += relay.hub().unknown_dropped();
     }
@@ -1271,6 +1317,7 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
       std::max<std::size_t>(1, std::min(engine->threads(), shards));
 
   // Build every shard up front (parallel, strided like the base farm).
+  FarmStore store(n + relays, sessions_own_membership(options));
   std::vector<std::unique_ptr<FabricShard>> shard_objs(shards);
   parallel_for(engine->pool(), workers, [&](std::size_t w) {
     for (std::size_t s = w; s < shards; s += workers) {
@@ -1278,13 +1325,13 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
         const std::size_t first = s * shard_size;
         const std::size_t count = std::min(shard_size, n - first);
         shard_objs[s] = std::make_unique<SubscriberFabricShard>(
-            kind, params, options, map, fabric,
+            kind, params, options, map, fabric, store,
             static_cast<std::uint32_t>(s), first, count);
       } else {
         const std::size_t first = (s - sub_shards) * shard_size;
         const std::size_t count = std::min(shard_size, relays - first);
         shard_objs[s] = std::make_unique<RelayFabricShard>(
-            kind, params, options, map, fabric,
+            kind, params, options, map, fabric, store,
             static_cast<std::uint32_t>(s), first, count);
       }
     }
@@ -1331,7 +1378,7 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
     outcomes[s] = shard_objs[s]->finish();
   }
   const std::uint64_t fabric_messages = fabric.total_pushed();
-  SessionFarmResult result = aggregate_outcomes(outcomes, options, n + relays);
+  SessionFarmResult result = aggregate_outcomes(outcomes, store, options);
   result.relay_sessions = relays;
   result.fabric_messages = fabric_messages;
   result.fabric_rings = fabric.rings();

@@ -16,8 +16,9 @@
 // replica_seed(seed, session, stream), so results are bit-identical at any
 // thread count AND any shard size.  Shards partition [0, N) into fixed
 // consecutive blocks, each simulated in its own Simulator and fanned across
-// the pool; per-session metrics are concatenated back in global session
-// order before summarizing.  Without shared relays sessions never interact.
+// the pool; each shard writes its sessions' metrics in place into one
+// farm-wide store indexed by global session index, which is summarized in
+// that order.  Without shared relays sessions never interact.
 // With them (SessionFarmOptions::shared_relays), subscribers talk to relay
 // sessions in other shards through the stamped cross-shard fabric
 // (exp/shard_ring.hpp), whose delivery order is itself independent of

@@ -3,9 +3,11 @@
 // simple and obviously correct: std::function callbacks in an unordered_map
 // keyed by sequence number, a lazily-deleted binary heap of (time, seq), and
 // an unordered_set of cancelled sequence numbers, with the same compaction
-// bound as the production queue.  Nothing in the simulator
-// links against it; tests drive it and sim::EventQueue through identical
-// operation streams and assert identical pop sequences.
+// bound as the production queue.  It lives under tests/, next to the
+// reference farm (reference_session_farm.cpp), which plays the same role
+// for the farm: test_event_core_diff.cpp drives it and the production
+// queues through identical operation streams and asserts identical pop
+// sequences.
 #pragma once
 
 #include <algorithm>
@@ -135,15 +137,9 @@ class ReferenceEventQueue {
   }
 
   mutable std::vector<Entry> heap_;
-  // The unordered containers below are membership/lookup-only (find,
-  // erase, clear -- never iterated), and this queue is test/bench-only:
-  // nothing in the library links against it, and its pop order comes from
-  // the (time, seq) heap, never from hash iteration.
-  // sigcomp-lint: allow(unordered-container) lookup-only cancelled-set;
-  // reference impl, pop order derived from the heap
+  // Membership/lookup-only (find, erase, clear -- never iterated): the pop
+  // order comes from the (time, seq) heap, never from hash iteration.
   mutable std::unordered_set<std::uint64_t> cancelled_;
-  // sigcomp-lint: allow(unordered-container) seq->action lookup only;
-  // reference impl, pop order derived from the heap
   std::unordered_map<std::uint64_t, std::function<void()>> actions_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;

@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/reference_event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/timing_wheel_queue.hpp"
 

@@ -4,10 +4,10 @@
 // every double of every session's Metrics compared bitwise, not just the
 // aggregates -- across all five protocols x {single-hop, chain, tree}
 // topologies x {1, 2, 8} threads x shard sizes {7, 64, 4096}, plus a
-// churn+scenario configuration.  This is the lock on the rewrite's core
-// claim: arenas, slot recycling, sliced execution and batched expiry
-// delivery change WHERE sessions live and WHEN their events are popped,
-// never what they compute.
+// churn+scenario configuration and a bursts-only one.  This is the lock on
+// the rewrite's core claim: arenas, slot recycling, sliced execution and
+// batched expiry delivery change WHERE sessions live and WHEN their events
+// are popped, never what they compute.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -158,6 +158,38 @@ TEST(FarmDiff, ChurnAndScenarioTreeMatchesReference) {
   const analytic::TreeParams params =
       analytic::TreeParams::balanced(diff_hop_params(), 2, 2);
   diff_matrix_cell(ProtocolKind::kSSRT, params, base);
+}
+
+TEST(FarmDiff, SharedRiskBurstsWithoutLeafChurnMatchReference) {
+  // Shared-risk bursts alone: leaf churn is off, yet every session owns a
+  // MembershipController, so the farm must still store and reduce each
+  // session's churn report -- the case where the predicate that sizes the
+  // farm's churn store and the one that builds the controller could drift.
+  SessionFarmOptions base = diff_farm();
+  base.scenario.shared_risk = protocols::SharedRiskConfig::bursts(1.0 / 5.0);
+  const analytic::TreeParams params =
+      analytic::TreeParams::balanced(diff_hop_params(), 2, 2);
+  diff_matrix_cell(ProtocolKind::kSS, params, base);
+  const SessionFarmResult result =
+      run_session_farm(ProtocolKind::kSS, params, base);
+  EXPECT_GT(result.churn.leaves, 0u);
+}
+
+TEST(FarmDiff, ChurnFreeFarmsReportNoChurn) {
+  // Without a membership process no session stores a churn report, and the
+  // reduced report stays all-zero on every session type.
+  const SessionFarmOptions base = diff_farm();
+  MultiHopParams chain = diff_hop_params();
+  chain.hops = 3;
+  const analytic::TreeParams tree =
+      analytic::TreeParams::balanced(diff_hop_params(), 2, 2);
+  EXPECT_TRUE(run_session_farm(ProtocolKind::kSS,
+                               SingleHopParams::kazaa_defaults(), base)
+                  .churn == protocols::ChurnReport{});
+  EXPECT_TRUE(run_session_farm(ProtocolKind::kSSRT, chain, base).churn ==
+              protocols::ChurnReport{});
+  EXPECT_TRUE(run_session_farm(ProtocolKind::kHS, tree, base).churn ==
+              protocols::ChurnReport{});
 }
 
 // ------------------------------------------------------- exact peak lock --

@@ -327,6 +327,31 @@ TEST(GoldenTrace, TreeFarmMetricStreamIsPinned) {
   }
 }
 
+TEST(GoldenTrace, RecyclingSharedRelayFarmMetricStreamIsPinned) {
+  // Arrivals over 400 s with 10 s lifetimes: subscriber arena slots (and
+  // the relay-client state that rides with them) recycle many times over,
+  // so the digest locks slot reuse inside the cross-shard fabric.
+  exp::SessionFarmOptions options =
+      farm_pin_options(sim::EventQueueBackend::kHeap);
+  options.seed = 17;
+  options.sessions = 400;
+  options.arrival_rate = 1.0;
+  options.session_lifetime = 10.0;
+  options.shard_size = 4096;
+  options.shared_relays = 8;
+  options.subscribers_per_relay = 25;
+  for (const sim::EventQueueBackend backend :
+       {sim::EventQueueBackend::kHeap, sim::EventQueueBackend::kWheel}) {
+    options.event_queue = backend;
+    const exp::SessionFarmResult result = exp::run_session_farm(
+        ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(), options);
+    const std::uint64_t actual = farm_digest_of(result.per_session);
+    EXPECT_EQ(actual, 0xacd695dc87649d3bULL)
+        << "recycling shared-relay farm metric digest moved; actual "
+        << hex(actual);
+  }
+}
+
 TEST(GoldenTrace, DigestIsReproducibleWithinProcess) {
   // The digest itself must be a pure function of the run.
   EXPECT_EQ(single_hop_digest(ProtocolKind::kSS),

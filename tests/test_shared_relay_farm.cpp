@@ -41,6 +41,16 @@ SessionFarmOptions relay_farm(std::size_t sessions, std::size_t relays,
   return options;
 }
 
+/// Arrivals over 400 s with 10 s lifetimes: each subscriber arena slot --
+/// and the relay-client state stored by slot -- is reused many times over.
+/// Pinned by GoldenTrace.RecyclingSharedRelayFarmMetricStreamIsPinned.
+SessionFarmOptions recycling_relay_farm() {
+  SessionFarmOptions options = relay_farm(400, 8, 25);
+  options.arrival_rate = 1.0;
+  options.session_lifetime = 10.0;
+  return options;
+}
+
 TEST(SharedRelayHubUnit, InstallExpireReinstallAndComplete) {
   sim::Simulator sim;
   sim::Rng rng(1, 2);
@@ -126,48 +136,60 @@ TEST(SharedRelayFarm, ElementWiseIdenticalAcrossThreadsAndShardSizes) {
   // results and every fabric counter must be identical -- element-wise,
   // bitwise -- at any thread count and any shard size.  (Event counts are
   // NOT compared across shard sizes: the flush-event count legitimately
-  // depends on the number of shards.)
+  // depends on the number of shards.)  Two inputs: a hold-like farm whose
+  // slots barely recycle, and one whose subscriber slots recycle many times.
   const SingleHopParams params = SingleHopParams::kazaa_defaults();
-  const SessionFarmOptions base = relay_farm(48, 4, 6);
-  const SessionFarmResult golden =
-      run_session_farm(ProtocolKind::kSS, params, base);
-  ASSERT_EQ(golden.per_session.size(), 52u);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t shard_size : {7u, 64u, 4096u}) {
-      SessionFarmOptions options = base;
-      options.threads = threads;
-      options.shard_size = shard_size;
-      const SessionFarmResult result =
-          run_session_farm(ProtocolKind::kSS, params, options);
-      SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                      << " shard_size=" << shard_size);
-      ASSERT_EQ(result.per_session.size(), golden.per_session.size());
-      for (std::size_t i = 0; i < golden.per_session.size(); ++i) {
-        EXPECT_EQ(result.per_session[i].inconsistency,
-                  golden.per_session[i].inconsistency)
-            << "session " << i;
-        EXPECT_EQ(result.per_session[i].session_length,
-                  golden.per_session[i].session_length)
-            << "session " << i;
-        EXPECT_EQ(result.per_session[i].raw_message_rate,
-                  golden.per_session[i].raw_message_rate)
-            << "session " << i;
-        EXPECT_EQ(result.per_session[i].message_rate,
-                  golden.per_session[i].message_rate)
-            << "session " << i;
+  for (const SessionFarmOptions& base :
+       {relay_farm(48, 4, 6), recycling_relay_farm()}) {
+    const SessionFarmResult golden =
+        run_session_farm(ProtocolKind::kSS, params, base);
+    const std::size_t total = base.sessions + base.shared_relays;
+    ASSERT_EQ(golden.per_session.size(), total);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      for (const std::size_t shard_size : {7u, 64u, 4096u}) {
+        SessionFarmOptions options = base;
+        options.threads = threads;
+        options.shard_size = shard_size;
+        const SessionFarmResult result =
+            run_session_farm(ProtocolKind::kSS, params, options);
+        SCOPED_TRACE(testing::Message()
+                     << "sessions=" << base.sessions << " threads=" << threads
+                     << " shard_size=" << shard_size);
+        ASSERT_EQ(result.per_session.size(), golden.per_session.size());
+        for (std::size_t i = 0; i < golden.per_session.size(); ++i) {
+          EXPECT_EQ(result.per_session[i].inconsistency,
+                    golden.per_session[i].inconsistency)
+              << "session " << i;
+          EXPECT_EQ(result.per_session[i].session_length,
+                    golden.per_session[i].session_length)
+              << "session " << i;
+          EXPECT_EQ(result.per_session[i].raw_message_rate,
+                    golden.per_session[i].raw_message_rate)
+              << "session " << i;
+          EXPECT_EQ(result.per_session[i].message_rate,
+                    golden.per_session[i].message_rate)
+              << "session " << i;
+        }
+        EXPECT_EQ(result.messages, golden.messages);
+        EXPECT_EQ(result.fabric_messages, golden.fabric_messages);
+        EXPECT_EQ(result.fabric_dropped, golden.fabric_dropped);
+        EXPECT_EQ(result.fabric_epochs, golden.fabric_epochs);
+        EXPECT_EQ(result.relay_installs, golden.relay_installs);
+        EXPECT_EQ(result.relay_refreshes, golden.relay_refreshes);
+        EXPECT_EQ(result.relay_soft_timeouts, golden.relay_soft_timeouts);
+        EXPECT_EQ(result.receiver_timeouts, golden.receiver_timeouts);
+        EXPECT_EQ(result.peak_sessions_in_flight,
+                  golden.peak_sessions_in_flight);
       }
-      EXPECT_EQ(result.messages, golden.messages);
-      EXPECT_EQ(result.fabric_messages, golden.fabric_messages);
-      EXPECT_EQ(result.fabric_dropped, golden.fabric_dropped);
-      EXPECT_EQ(result.fabric_epochs, golden.fabric_epochs);
-      EXPECT_EQ(result.relay_installs, golden.relay_installs);
-      EXPECT_EQ(result.relay_refreshes, golden.relay_refreshes);
-      EXPECT_EQ(result.relay_soft_timeouts, golden.relay_soft_timeouts);
-      EXPECT_EQ(result.receiver_timeouts, golden.receiver_timeouts);
-      EXPECT_EQ(result.peak_sessions_in_flight,
-                golden.peak_sessions_in_flight);
     }
   }
+  // At shard size 4096 the recycling farm's 400 subscribers share one
+  // shard, whose arena must reuse slots rather than hold all 400.
+  SessionFarmOptions one_shard = recycling_relay_farm();
+  one_shard.shard_size = 4096;
+  const SessionFarmResult recycled =
+      run_session_farm(ProtocolKind::kSS, params, one_shard);
+  EXPECT_LT(recycled.arena_slot_high_water, one_shard.sessions);
 }
 
 TEST(SharedRelayFarm, BitIdenticalAcrossEventQueueBackends) {
