@@ -24,6 +24,10 @@
 //    and the reduce reads the store directly.  Its exact
 //    peak_sessions_in_flight sweeps every session's [begin, completion]
 //    endpoints globally, replacing the summed-per-shard upper bound.
+//  * Arrivals outside the queue: each shard hands its simulator the
+//    sessions' arrival times from the store as a sorted arrival stream
+//    instead of pushing one pending event per session, so a shard's queue
+//    holds only the events of sessions in flight.
 //
 // The determinism contract is unchanged and load-bearing: per-session
 // randomness stays keyed to the global session index, shard boundaries stay
@@ -34,16 +38,23 @@
 //
 //  * The reference constructs all sessions up front, and each construction
 //    pushes exactly ONE event (the arrival; everything else a session ctor
-//    does is passive).  The arena farm's pre-scan pushes the same arrival
-//    events, in the same session order (same seqs), at the same times --
-//    it re-derives each arrival from a fresh kSessionLifecycle stream, the
-//    same first draw the session itself repeats at spawn time.
+//    does is passive), so its arrivals hold the shard's lowest seqs, in
+//    session order.  The arena farm pushes no arrival event: it hands the
+//    shard's fresh Simulator an arrival stream (Simulator::set_arrivals)
+//    with the same times -- re-derived from a fresh kSessionLifecycle
+//    stream, the same first draw the session itself repeats at spawn time.
+//    The simulator merges that stream with its queue so that an arrival
+//    wins a time tie with any queued event and equal-time arrivals run in
+//    session order: exactly where the reference's lowest-seq arrival
+//    events pop.  Each arrival also counts as one executed event.
 //  * When an arrival fires, the session is placement-constructed (passive)
-//    and begin() runs inside that same event -- exactly the work the
+//    and begin() runs inside that same arrival -- exactly the work the
 //    reference's arrival event performs, pushing the same follow-up events
-//    in the same order.  By induction the two farms' queues hold identical
-//    (time, seq) sets at every step, and run_slice dispatches in exact pop
-//    order, so every RNG draw, message and metric lands identically.
+//    in the same order.  By induction the reference's pending set equals
+//    the arena farm's queue plus its unfired arrivals at every step (each
+//    queued seq shifted by the shard's session count), and run_slice
+//    dispatches in exact merged pop order, so every RNG draw, message and
+//    metric lands identically.
 #include "exp/session_farm.hpp"
 
 #include <algorithm>
@@ -105,6 +116,12 @@ void validate_options(const SessionFarmOptions& options) {
   }
   if (options.shard_size == 0) {
     throw std::invalid_argument("SessionFarmOptions: shard_size must be > 0");
+  }
+  // Arena slots and the simulator's arrival cursor index a shard's
+  // sessions with 32 bits.
+  if (options.shard_size > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "SessionFarmOptions: shard_size must be <= 2^32 - 1");
   }
   options.leaf_churn.validate();
   options.scenario.validate();
@@ -186,8 +203,10 @@ struct FarmStore {
         churn(with_churn ? total : 0) {}
 
   std::vector<Metrics> metrics;
-  std::vector<double> arrival;  ///< begin times, filled by the pre-scan
-  std::vector<double> end;      ///< completion times, filled on completion
+  /// Begin times, filled at shard construction; each shard's simulator
+  /// reads its slice as the shard's arrival stream.
+  std::vector<double> arrival;
+  std::vector<double> end;  ///< completion times, filled on completion
   std::vector<protocols::ChurnReport> churn;
 };
 
@@ -332,8 +351,8 @@ struct RelayLink {
 /// arena placement: channels and engines are direct members (every closure
 /// they store captures one pointer and stays inside its small-buffer
 /// storage), so constructing a session in a recycled slot allocates
-/// nothing.  Constructed INSIDE its own pre-scanned arrival event; the
-/// shard calls begin() immediately after.
+/// nothing.  Constructed INSIDE its own arrival (the shard simulator's
+/// arrival stream); the shard calls begin() immediately after.
 class SingleHopSession {
  public:
   SingleHopSession(sim::Simulator& sim, ProtocolKind kind,
@@ -364,8 +383,8 @@ class SingleHopSession {
     // Staggered Poisson arrivals: conditioned on N arrivals in the window,
     // arrival times are iid uniform over it -- and drawing from the
     // session's own stream keys the time to the global index alone.  The
-    // draw repeats the pre-scan's (same stream, same first draw), so the
-    // session materializes at exactly the time its arrival event fired.
+    // draw repeats schedule_arrivals' (same stream, same first draw), so the
+    // session materializes at exactly the time its arrival fired.
     const double window =
         static_cast<double>(options.sessions) / options.arrival_rate;
     arrival_ = window * rngs_.lifecycle.uniform();
@@ -384,7 +403,7 @@ class SingleHopSession {
     if (relay_ != nullptr) relay_->client.handle(message);
   }
 
-  /// Starts the session (the body of its arrival event).
+  /// Starts the session (the body of its arrival).
   void begin() {
     inconsistent_ = sim::TimeWeightedValue(arrival_);
     sender_.begin_epoch(1);
@@ -578,6 +597,8 @@ class TreeSession {
           sim, *topology_, rngs_.scenario_failure, options.scenario.failure,
           mech_.external_failure_detector);
     }
+    // The same first lifecycle draw schedule_arrivals made for this
+    // session, so arrival_ is the time its arrival fired.
     const double window =
         static_cast<double>(options.sessions) / options.arrival_rate;
     arrival_ = window * rngs_.lifecycle.uniform();
@@ -588,7 +609,7 @@ class TreeSession {
   /// the shard's spawn path is session-type-agnostic).
   void set_slot(std::uint32_t slot) noexcept { slot_ = slot; }
 
-  /// Starts the session (the body of its arrival event).
+  /// Starts the session (the body of its arrival).
   void begin() {
     inconsistent_ = sim::TimeWeightedValue(arrival_);
     topology_->sender().start(++version_);
@@ -749,6 +770,7 @@ struct ShardOutcome {
   double end_time = 0.0;
   std::size_t arena_high_water = 0;
   std::size_t arena_chunks = 0;
+  std::size_t queue_slots = 0;  ///< the simulator's event-slot high water
 };
 
 /// A completed shard's counters (shared by the base farm shard and both
@@ -765,6 +787,7 @@ ShardOutcome outcome_of(const ShardSink& sink, const sim::Simulator& sim) {
   out.relay_soft_timeouts = sink.relay_soft_timeouts;
   out.events = sim.events_executed();
   out.end_time = sim.now();
+  out.queue_slots = sim.slot_capacity();
   return out;
 }
 
@@ -793,6 +816,8 @@ SessionFarmResult aggregate_outcomes(const std::vector<ShardOutcome>& outcomes,
     result.arena_slot_high_water =
         std::max(result.arena_slot_high_water, outcome.arena_high_water);
     result.arena_chunk_allocations += outcome.arena_chunks;
+    result.queue_slot_high_water =
+        std::max(result.queue_slot_high_water, outcome.queue_slots);
   }
   // Summed in global session order, so the reduced report cannot depend on
   // the shard decomposition (floating-point addition is order-sensitive).
@@ -824,13 +849,15 @@ SessionFarmResult aggregate_outcomes(const std::vector<ShardOutcome>& outcomes,
   return result;
 }
 
-/// Arrival pre-scan of the sessions [first, first + sink.sessions): pushes
-/// one arrival event per session, in session order, at the time the session
-/// will re-derive for itself at spawn -- the first draw of a fresh
-/// kSessionLifecycle stream -- and records it in the sink.  This reproduces
-/// the reference farm's construction-time pushes exactly (same times, same
-/// seq order), which is the base case of the bit-identity argument in the
-/// file comment.  `spawn(global_index, local)` is the arrival event's body.
+/// Arrivals of the sessions [first, first + sink.sessions): records each
+/// session's arrival time in the sink -- the time the session will
+/// re-derive for itself at spawn, the first draw of a fresh
+/// kSessionLifecycle stream -- and installs those times as the shard
+/// simulator's arrival stream.  Installed on a fresh simulator, the stream
+/// runs exactly like the reference farm's construction-time pushes (same
+/// times, same order at ties), which is the base case of the bit-identity
+/// argument in the file comment; it holds no pending event per session.
+/// `spawn(global_index, local)` is an arrival's body.
 template <typename Spawn>
 void schedule_arrivals(sim::Simulator& sim, const SessionFarmOptions& options,
                        std::size_t first, ShardSink& sink, Spawn spawn) {
@@ -840,14 +867,15 @@ void schedule_arrivals(sim::Simulator& sim, const SessionFarmOptions& options,
     const auto g = static_cast<std::uint64_t>(first + i);
     sim::Rng lifecycle(replica_seed(options.seed, g, 0),
                        rng::kSessionLifecycle);
-    const double arrival = window * lifecycle.uniform();
-    sink.arrival[i] = arrival;
-    sim.schedule_at(arrival, [spawn, g, i] { spawn(g, i); });
+    sink.arrival[i] = window * lifecycle.uniform();
   }
+  sim.set_arrivals(sink.arrival, [spawn, first](std::uint32_t i) {
+    spawn(static_cast<std::uint64_t>(first + i), i);
+  });
 }
 
 /// Sessions [first, first + count) of the farm: one Simulator, one arena,
-/// one sink.  Construction pre-scans the arrivals; a shard worker then
+/// one sink.  Construction installs the arrival stream; a shard worker then
 /// drives advance_slice() until complete().
 template <typename Session, typename Params>
 class Shard {
@@ -1053,7 +1081,7 @@ class FabricShardBase : public FabricShard {
 };
 
 /// A subscriber shard of the fabric farm: ordinary single-hop farm sessions
-/// (same arena, same arrival pre-scan, same recycling), the first
+/// (same arena, same arrival stream, same recycling), the first
 /// relays * subscribers_per_relay of which talk to a shared relay through
 /// a RelayLink the shard keeps for their arena slot.  An endpoint table,
 /// nulled at completion, routes incoming relay echoes; late echoes are
@@ -1216,10 +1244,8 @@ class RelayFabricShard final : public FabricShardBase {
         options_(options),
         first_relay_(first_relay),
         sink_(store, options.sessions + first_relay, count) {
-    // Relays arrive at t = 0 (the store's arrival times are already zero).
-    for (std::size_t i = 0; i < count; ++i) {
-      sim_.schedule_at(0.0, [this, i] { spawn(i); });
-    }
+    // Relays arrive at t = 0: the store's arrival times are already zero.
+    sim_.set_arrivals(sink_.arrival, [this](std::uint32_t i) { spawn(i); });
   }
 
   [[nodiscard]] bool complete() const override { return sink_.complete(); }
@@ -1260,7 +1286,7 @@ class RelayFabricShard final : public FabricShardBase {
   const SessionFarmOptions& options_;
   std::size_t first_relay_;
   ShardSink sink_;
-  /// Spawn events run in local order at t = 0, so relays_[i] is relay i.
+  /// Arrivals run in local order at t = 0, so relays_[i] is relay i.
   std::deque<RelaySession> relays_;
 };
 

@@ -153,6 +153,11 @@ struct SessionFarmResult {
   /// their high-water marks -- the farm's zero-steady-state-allocation
   /// counter.
   std::size_t arena_chunk_allocations = 0;
+  /// Largest per-shard event-queue slot high-water mark
+  /// (sim::Simulator::slot_capacity): the most events any shard ever held
+  /// pending at once.  Arrivals wait outside the queue, so under churn this
+  /// tracks sessions in flight, not the shard's session count.
+  std::size_t queue_slot_high_water = 0;
   /// Shared relay sessions driven (== options.shared_relays; their metrics
   /// occupy the last relay_sessions entries of per_session).  `sessions`
   /// counts them too when relays are enabled.

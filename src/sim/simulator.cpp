@@ -1,5 +1,8 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace sigcomp::sim {
@@ -46,36 +49,51 @@ EventId Simulator::schedule_in(Time delay, EventCallback action) {
       [&](auto& queue) { return queue.push(t, std::move(action)); }, queue_);
 }
 
+void Simulator::set_arrivals(std::span<const Time> times,
+                             std::function<void(std::uint32_t)> on_arrival) {
+  if (arrival_pending()) {
+    throw std::logic_error("Simulator::set_arrivals: arrivals still pending");
+  }
+  if (times.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "Simulator::set_arrivals: more than 2^32 - 1 arrivals");
+  }
+  for (const Time t : times) {
+    if (!std::isfinite(t) || t < now_) {
+      throw std::invalid_argument(
+          "Simulator::set_arrivals: arrival time in the past or not finite");
+    }
+  }
+  arrival_order_.resize(times.size());
+  std::iota(arrival_order_.begin(), arrival_order_.end(), std::uint32_t{0});
+  std::sort(arrival_order_.begin(), arrival_order_.end(),
+            [times](std::uint32_t a, std::uint32_t b) {
+              return times[a] != times[b] ? times[a] < times[b] : a < b;
+            });
+  arrival_times_ = times;
+  next_arrival_ = 0;
+  on_arrival_ = std::move(on_arrival);
+}
+
 bool Simulator::step() {
   // The callback may re-enter the simulator (scheduling is the common
   // case), but it never changes the variant's alternative, so running it
   // inside the visit is safe.
+  constexpr Time kNoLimit = std::numeric_limits<Time>::infinity();
   return std::visit(
       [this](auto& queue) {
-        if (queue.empty()) return false;
-        auto event = queue.pop();
-        now_ = event.time;
-        ++executed_;
-        event.action();
-        return true;
+        return execute_due(queue, kNoLimit, /*strict_queue=*/false);
       },
       queue_);
 }
 
 void Simulator::run_until(Time t) {
-  while (true) {
-    const bool ran = std::visit(
-        [&](auto& queue) {
-          if (queue.empty() || queue.next_time() > t) return false;
-          auto event = queue.pop();
-          now_ = event.time;
-          ++executed_;
-          event.action();
-          return true;
-        },
-        queue_);
-    if (!ran) break;
-  }
+  std::visit(
+      [this, t](auto& queue) {
+        while (execute_due(queue, t, /*strict_queue=*/false)) {
+        }
+      },
+      queue_);
   if (t > now_) now_ = t;
 }
 

@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <variant>
@@ -48,6 +50,16 @@ inline constexpr EventQueueBackend kDefaultEventQueueBackend =
 ///   Simulator sim;
 ///   sim.schedule_in(1.0, [&] { ... });
 ///   sim.run_until(100.0);
+///
+/// Besides the event queue a simulator can hold an ARRIVAL STREAM
+/// (set_arrivals): a fixed set of timed arrivals kept outside the queue as a
+/// sorted 4 B-per-arrival cursor.  Every run method merges it with the
+/// queue.  Arrival i runs at times[i], counts as one executed event, and
+/// orders exactly like a queued event pushed before everything else: it
+/// wins a tie with any queued event, and equal-time arrivals run in index
+/// order.  So a stream installed on a fresh simulator executes exactly like
+/// pushing `schedule_at(times[i], body(i))` for i = 0, 1, ... up front,
+/// without holding a pending event per arrival.
 class Simulator {
  public:
   /// Constructs a simulator on the build-selected default backend.
@@ -75,12 +87,23 @@ class Simulator {
   /// to "immediately").
   EventId schedule_in(Time delay, EventCallback action);
 
+  /// Installs the arrival stream: arrival i runs `on_arrival(i)` at
+  /// `times[i]`.  The simulator keeps the span -- it must outlive every run
+  /// call -- and builds its cursor sorted by (time, index).  Throws
+  /// std::invalid_argument on a time before now() or not finite, and
+  /// std::logic_error while a previous stream still has arrivals pending,
+  /// and std::length_error on more than 2^32 - 1 arrivals (the cursor
+  /// holds 32-bit indices).
+  void set_arrivals(std::span<const Time> times,
+                    std::function<void(std::uint32_t)> on_arrival);
+
   /// Cancels a pending event.  Returns false when it already ran/cancelled.
   bool cancel(EventId id) {
     return std::visit([id](auto& queue) { return queue.cancel(id); }, queue_);
   }
 
-  /// Executes the next event, if any.  Returns false when the queue is empty.
+  /// Executes the next event (queued or arrival), if any.  Returns false
+  /// when nothing is pending.
   bool step();
 
   /// Runs events up to and including time `t`; the clock then rests at `t`.
@@ -107,16 +130,10 @@ class Simulator {
         queue_);
   }
 
-  /// Time of the earliest pending event, or nullopt when idle.  The
-  /// non-throwing companion to the queue backends' next_time().
+  /// Time of the earliest pending event or arrival, or nullopt when idle.
+  /// The non-throwing companion to the queue backends' next_time().
   [[nodiscard]] std::optional<Time> next_pending_time() const {
-    return std::visit(
-        [](const auto& queue) -> std::optional<Time> {
-          Time t = 0.0;
-          if (!queue.peek_ready(t)) return std::nullopt;
-          return t;
-        },
-        queue_);
+    return next_pending_within(std::numeric_limits<Time>::infinity());
   }
 
   /// Bounded companion to next_pending_time(), for negotiating a common
@@ -125,42 +142,80 @@ class Simulator {
   /// at or before the bound" cheaply (the timing wheel answers from its
   /// tick cursor without rotating).  The cross-shard fabric computes its
   /// epoch barrier as a running min over every shard through this call.
+  /// A pending arrival at or before `bound` counts, and tightens the
+  /// bound the queue is asked about.
   [[nodiscard]] std::optional<Time> next_pending_within(Time bound) const {
-    return std::visit(
-        [bound](const auto& queue) -> std::optional<Time> {
-          Time t = 0.0;
-          if (!queue.peek_ready_within(bound, t)) return std::nullopt;
-          return t;
+    std::optional<Time> next;
+    if (arrival_pending() && next_arrival_time() <= bound) {
+      next = next_arrival_time();
+      bound = *next;
+    }
+    Time t = 0.0;
+    const bool queued = std::visit(
+        [bound, &t](const auto& queue) {
+          return queue.peek_ready_within(bound, t);
         },
         queue_);
+    if (queued && (!next || t < *next)) next = t;
+    return next;
   }
 
-  /// True when no events are pending.
+  /// True when no events or arrivals are pending.
   [[nodiscard]] bool idle() const noexcept {
-    return std::visit([](const auto& queue) { return queue.empty(); }, queue_);
+    return !arrival_pending() &&
+           std::visit([](const auto& queue) { return queue.empty(); }, queue_);
   }
-  /// Number of pending (live) events.
+  /// Number of pending (live) events, arrivals included.
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return std::visit([](const auto& queue) { return queue.size(); }, queue_);
+    return arrival_order_.size() - next_arrival_ +
+           std::visit([](const auto& queue) { return queue.size(); }, queue_);
   }
   /// Events executed since construction.
   [[nodiscard]] std::uint64_t events_executed() const noexcept { return executed_; }
   /// Slot-pool high-water mark of the underlying event queue
   /// (EventQueue::slot_capacity).  Tests assert it stays flat across
-  /// session start/stop churn -- the zero-allocation teardown contract.
+  /// session start/stop churn -- the zero-allocation teardown contract --
+  /// and that pending arrivals, which hold no slot, do not raise it.
   [[nodiscard]] std::size_t slot_capacity() const noexcept {
     return std::visit([](const auto& queue) { return queue.slot_capacity(); },
                       queue_);
   }
 
  private:
-  // Pops and executes the queue's front event (precondition: non-empty).
+  [[nodiscard]] bool arrival_pending() const noexcept {
+    return next_arrival_ < arrival_order_.size();
+  }
+  // Time of the cursor's next arrival (precondition: arrival_pending()).
+  [[nodiscard]] Time next_arrival_time() const noexcept {
+    return arrival_times_[arrival_order_[next_arrival_]];
+  }
+
+  // Executes the earliest pending event -- the next arrival or the queue's
+  // front -- when it is due, and returns whether one ran.  Due means an
+  // arrival at time <= `limit`, or a queued event at time <= `limit` (time
+  // < `limit` when `strict_queue`).  An arrival wins a time tie with a
+  // queued event: it stands for an event pushed before all of them.
   template <typename Queue>
-  void execute_next(Queue& queue) {
+  bool execute_due(Queue& queue, Time limit, bool strict_queue) {
+    Time t = 0.0;
+    const bool queued =
+        queue.peek_ready(t) && (strict_queue ? t < limit : t <= limit);
+    if (arrival_pending()) {
+      const Time a = next_arrival_time();
+      if (a <= limit && (!queued || a <= t)) {
+        const std::uint32_t i = arrival_order_[next_arrival_++];
+        now_ = a;
+        ++executed_;
+        on_arrival_(i);
+        return true;
+      }
+    }
+    if (!queued) return false;
     auto event = queue.pop();
     now_ = event.time;
     ++executed_;
     event.action();
+    return true;
   }
 
   // Returns every undispatched drained event (from index `from` on) to the
@@ -176,21 +231,20 @@ class Simulator {
   }
 
   // run_slice over a concrete backend.  One drain_due pass, then dispatch:
-  // before each buffered event, pop-execute any queue event scheduled
-  // strictly earlier (events pushed by slice callbacks; at equal times the
-  // buffered event has the smaller seq, so strict < preserves pop order).
-  // take_drained's generation check skips buffered events that a callback
-  // cancelled mid-slice.  A tail pop loop handles callback-scheduled events
-  // still inside the horizon after the buffer is exhausted.
+  // before each buffered event, execute every arrival at or before its time
+  // and every queue event scheduled strictly earlier (events pushed by
+  // slice callbacks; at equal times the buffered event has the smaller seq,
+  // so strict < preserves pop order).  take_drained's generation check
+  // skips buffered events that a callback cancelled mid-slice.  A tail loop
+  // handles arrivals and callback-scheduled events still inside the
+  // horizon after the buffer is exhausted.
   template <typename Queue, typename Stop>
   bool run_slice_on(Queue& queue, Time horizon, Stop& stop) {
     drain_buf_.clear();
     queue.drain_due(horizon, drain_buf_);
     for (std::size_t i = 0; i < drain_buf_.size(); ++i) {
       const DrainedEvent& e = drain_buf_[i];
-      Time t = 0.0;
-      while (queue.peek_ready(t) && t < e.time) {
-        execute_next(queue);
+      while (execute_due(queue, e.time, /*strict_queue=*/true)) {
         if (stop()) return requeue_rest(queue, i);
       }
       EventCallback action;
@@ -200,9 +254,7 @@ class Simulator {
       action();
       if (stop()) return requeue_rest(queue, i + 1);
     }
-    Time t = 0.0;
-    while (queue.peek_ready(t) && t <= horizon) {
-      execute_next(queue);
+    while (execute_due(queue, horizon, /*strict_queue=*/false)) {
       if (stop()) return true;
     }
     return false;
@@ -214,6 +266,12 @@ class Simulator {
   // Scratch buffer for run_slice's batched expiry delivery; member so the
   // per-slice drain reuses capacity instead of reallocating.
   std::vector<DrainedEvent> drain_buf_;
+  // The arrival stream (set_arrivals): times by arrival index, the indices
+  // sorted by (time, index), the cursor into them, and the arrival body.
+  std::span<const Time> arrival_times_;
+  std::vector<std::uint32_t> arrival_order_;
+  std::size_t next_arrival_ = 0;
+  std::function<void(std::uint32_t)> on_arrival_;
 };
 
 }  // namespace sigcomp::sim

@@ -187,6 +187,11 @@ TEST(FarmArena, SteadyStateFarmRunIsAllocationFreeAndRecyclesSlots) {
   // ceil(high_water / 256) of them, never one more.
   EXPECT_EQ(result.arena_chunk_allocations,
             (result.arena_slot_high_water + 255) / 256);
+  // The event queue tracks sessions in flight too: arrivals wait outside
+  // it, so its slot pool holds only live sessions' timers and deliveries,
+  // never one pending arrival per session of the shard.
+  EXPECT_GT(result.queue_slot_high_water, 0u);
+  EXPECT_LT(result.queue_slot_high_water, 1000u);
 }
 
 }  // namespace

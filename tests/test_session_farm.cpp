@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "core/params.hpp"
@@ -235,6 +237,30 @@ TEST(SessionFarm, ValidatesOptions) {
   options.leaf_churn.leaf_lifetime = -2.0;
   EXPECT_THROW((void)run_session_farm(ProtocolKind::kSS, chain, options),
                std::invalid_argument);
+}
+
+TEST(SessionFarm, RejectsShardSizeBeyondThirtyTwoBitIndices) {
+  // Arena slots and the simulator's arrival cursor index a shard's
+  // sessions with 32 bits, so a wider shard must fail loudly up front --
+  // on every farm type -- rather than wrap.
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const SingleHopParams params = SingleHopParams::kazaa_defaults();
+  SessionFarmOptions options = small_farm(10);
+  options.shard_size = kMax + 1;
+  EXPECT_THROW((void)run_session_farm(ProtocolKind::kSS, params, options),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_session_farm(ProtocolKind::kSS, MultiHopParams{},
+                                      options),
+               std::invalid_argument);
+  options.shared_relays = 2;
+  options.subscribers_per_relay = 2;
+  EXPECT_THROW((void)run_session_farm(ProtocolKind::kSS, params, options),
+               std::invalid_argument);
+  // The widest legal value runs (clamped to the session count).
+  options = small_farm(10);
+  options.shard_size = kMax;
+  EXPECT_EQ(run_session_farm(ProtocolKind::kSS, params, options).sessions,
+            10u);
 }
 
 }  // namespace

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace sigcomp::sim {
 namespace {
@@ -169,6 +176,249 @@ TEST(Simulator, WheelBackendHandlesSelfPerpetuatingChains) {
   EXPECT_EQ(fired, 1000);
   EXPECT_DOUBLE_EQ(s.now(), 1000.0);
   EXPECT_EQ(s.events_executed(), 1000u);
+}
+
+// ------------------------------------------------------ arrival streams --
+
+/// Every arrival-stream test runs on both queue backends.
+class SimulatorArrivals : public ::testing::TestWithParam<EventQueueBackend> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, SimulatorArrivals,
+                         ::testing::Values(EventQueueBackend::kHeap,
+                                           EventQueueBackend::kWheel),
+                         [](const auto& param_info) {
+                           return std::string(to_string(param_info.param));
+                         });
+
+/// A log entry of an executed event: (clock, tag).
+using Fired = std::vector<std::pair<double, int>>;
+
+/// Runs every pending event through run_slice slices of `width`.
+void run_in_slices(Simulator& s, double width) {
+  while (const std::optional<Time> next = s.next_pending_time()) {
+    s.run_slice(*next + width, [] { return false; });
+  }
+}
+
+TEST_P(SimulatorArrivals, ArrivalAtAQueuedEventsTimeRunsFirst) {
+  // Queued before the stream is installed, yet the tied arrival still runs
+  // first: an arrival stands for an event pushed before all others.  Both
+  // the slice path and the step path merge the same way.
+  for (const bool slices : {true, false}) {
+    Simulator s(GetParam());
+    Fired fired;
+    s.schedule_at(2.0, [&] { fired.emplace_back(s.now(), -1); });
+    const std::vector<Time> times{2.0};
+    s.set_arrivals(times, [&](std::uint32_t i) {
+      fired.emplace_back(s.now(), static_cast<int>(i));
+      // Scheduled by the arrival at its own time: after the tied event.
+      s.schedule_in(0.0, [&] { fired.emplace_back(s.now(), -2); });
+    });
+    if (slices) {
+      run_in_slices(s, 10.0);
+    } else {
+      s.run();
+    }
+    EXPECT_EQ(fired, (Fired{{2.0, 0}, {2.0, -1}, {2.0, -2}})) << slices;
+    EXPECT_EQ(s.events_executed(), 3u);
+    EXPECT_TRUE(s.idle());
+  }
+}
+
+TEST_P(SimulatorArrivals, EqualTimeArrivalsRunInIndexOrder) {
+  Simulator s(GetParam());
+  std::vector<std::uint32_t> order;
+  const std::vector<Time> times{3.0, 1.0, 3.0, 1.0, 3.0, 0.0};
+  s.set_arrivals(times, [&](std::uint32_t i) {
+    EXPECT_EQ(s.now(), times[i]);
+    order.push_back(i);
+  });
+  EXPECT_EQ(s.pending_events(), 6u);
+  EXPECT_FALSE(s.idle());
+  EXPECT_EQ(s.slot_capacity(), 0u);  // arrivals hold no queue slot
+  run_in_slices(s, 0.5);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{5, 1, 3, 0, 2, 4}));
+  EXPECT_EQ(s.events_executed(), 6u);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST_P(SimulatorArrivals, StopMidSliceResumesInTheSameOrder) {
+  // Arrivals interleaved with drained events and with events the slice
+  // itself schedules.  Stopping after every k-th event and resuming must
+  // reproduce the uninterrupted order, for every k.
+  const auto drive = [this](std::size_t stop_every) {
+    Simulator s(GetParam());
+    Fired fired;
+    for (int q = 0; q < 4; ++q) {
+      s.schedule_at(1.0 + q, [&s, &fired, q] {
+        fired.emplace_back(s.now(), 100 + q);
+        s.schedule_in(0.5, [&s, &fired, q] {
+          fired.emplace_back(s.now(), 200 + q);
+        });
+      });
+    }
+    const std::vector<Time> times{1.0, 1.5, 2.0, 2.0, 3.5, 4.0};
+    s.set_arrivals(times, [&](std::uint32_t i) {
+      fired.emplace_back(s.now(), static_cast<int>(i));
+    });
+    std::size_t count = 0;
+    const auto stop = [&] {
+      return stop_every != 0 && ++count % stop_every == 0;
+    };
+    while (const std::optional<Time> next = s.next_pending_time()) {
+      s.run_slice(*next + 10.0, stop);
+    }
+    EXPECT_EQ(s.events_executed(), fired.size());
+    return fired;
+  };
+  const Fired whole = drive(0);
+  ASSERT_EQ(whole.size(), 14u);
+  EXPECT_EQ(whole.front(), (std::pair<double, int>{1.0, 0}));
+  EXPECT_EQ(whole[1], (std::pair<double, int>{1.0, 100}));
+  for (std::size_t k = 1; k <= whole.size(); ++k) {
+    EXPECT_EQ(drive(k), whole) << "stop every " << k;
+  }
+}
+
+TEST_P(SimulatorArrivals, NextPendingWithinReportsArrivalsAtOrBeforeTheBound) {
+  Simulator s(GetParam());
+  s.schedule_at(7.0, [] {});
+  const std::vector<Time> times{5.0};
+  s.set_arrivals(times, [](std::uint32_t) {});
+  EXPECT_EQ(s.next_pending_within(5.0), std::optional<Time>(5.0));
+  EXPECT_EQ(s.next_pending_within(6.0), std::optional<Time>(5.0));
+  EXPECT_FALSE(s.next_pending_within(4.9).has_value());
+  EXPECT_EQ(s.next_pending_time(), std::optional<Time>(5.0));
+  // A queued event earlier than the arrival is the earliest pending one.
+  s.schedule_at(3.0, [] {});
+  EXPECT_EQ(s.next_pending_within(5.0), std::optional<Time>(3.0));
+  EXPECT_EQ(s.next_pending_within(3.0), std::optional<Time>(3.0));
+  EXPECT_FALSE(s.next_pending_within(2.0).has_value());
+  s.run_until(5.0);
+  EXPECT_EQ(s.events_executed(), 2u);
+  EXPECT_EQ(s.next_pending_time(), std::optional<Time>(7.0));
+  EXPECT_FALSE(s.next_pending_within(6.0).has_value());
+}
+
+TEST_P(SimulatorArrivals, StepRunUntilAndRunMergeTheStream) {
+  Simulator s(GetParam());
+  Fired fired;
+  s.schedule_at(1.5, [&] { fired.emplace_back(s.now(), -1); });
+  s.schedule_at(4.0, [&] { fired.emplace_back(s.now(), -2); });
+  const std::vector<Time> times{2.0, 1.0, 4.0};
+  s.set_arrivals(times, [&](std::uint32_t i) {
+    fired.emplace_back(s.now(), static_cast<int>(i));
+  });
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(s.now(), 1.0);
+  s.run_until(3.0);
+  EXPECT_EQ(s.now(), 3.0);
+  EXPECT_EQ(s.events_executed(), 3u);
+  s.run(4);  // stops at four executed events in all
+  EXPECT_EQ(s.events_executed(), 4u);
+  s.run();
+  EXPECT_FALSE(s.step());
+  EXPECT_EQ(fired,
+            (Fired{{1.0, 1}, {1.5, -1}, {2.0, 0}, {4.0, 2}, {4.0, -2}}));
+}
+
+TEST_P(SimulatorArrivals, SetArrivalsValidatesItsInput) {
+  Simulator s(GetParam());
+  s.schedule_at(2.0, [] {});
+  s.run();
+  const std::vector<Time> past{3.0, 1.0};
+  EXPECT_THROW(s.set_arrivals(past, [](std::uint32_t) {}),
+               std::invalid_argument);
+  const std::vector<Time> nan{std::nan("")};
+  EXPECT_THROW(s.set_arrivals(nan, [](std::uint32_t) {}),
+               std::invalid_argument);
+  const std::vector<Time> inf{std::numeric_limits<Time>::infinity()};
+  EXPECT_THROW(s.set_arrivals(inf, [](std::uint32_t) {}),
+               std::invalid_argument);
+  const std::vector<Time> times{2.0, 5.0};
+  int arrived = 0;
+  s.set_arrivals(times, [&](std::uint32_t) { ++arrived; });
+  EXPECT_THROW(s.set_arrivals(times, [](std::uint32_t) {}), std::logic_error);
+  s.run();
+  EXPECT_EQ(arrived, 2);
+  // A drained stream may be replaced by a new one.
+  const std::vector<Time> later{6.0};
+  s.set_arrivals(later, [&](std::uint32_t) { ++arrived; });
+  s.run();
+  EXPECT_EQ(arrived, 3);
+  EXPECT_EQ(s.now(), 6.0);
+}
+
+/// Seeded random workload for the differential below.  Every executed
+/// event logs (clock, tag) and may schedule follow-ups -- at zero delay
+/// (same-time ties), at a coarse-grid delay (ties with arrivals) or at an
+/// exponential one -- and may cancel a pending follow-up.  A shared RNG is
+/// fine: two runs draw identically exactly when they execute identically.
+class RandomWorkload {
+ public:
+  RandomWorkload(Simulator& s, std::uint64_t seed) : s_(s), rng_(seed, 0) {}
+
+  void fire(int tag, int depth) {
+    log.emplace_back(s_.now(), tag);
+    if (depth >= 3) return;
+    const std::uint64_t children = rng_.uniform_int(3);
+    for (std::uint64_t c = 0; c < children; ++c) {
+      const double u = rng_.uniform();
+      const double delay =
+          u < 0.3   ? 0.0
+          : u < 0.6 ? 0.5 * static_cast<double>(rng_.uniform_int(4))
+                    : rng_.exponential(1.0);
+      const int child = next_tag_++;
+      ids_.push_back(s_.schedule_in(
+          delay, [this, child, depth] { fire(child, depth + 1); }));
+    }
+    if (!ids_.empty() && rng_.uniform() < 0.2) {
+      s_.cancel(ids_[rng_.uniform_int(ids_.size())]);
+    }
+  }
+
+  Fired log;
+
+ private:
+  Simulator& s_;
+  Rng rng_;
+  int next_tag_ = 1'000'000;
+  std::vector<EventId> ids_;
+};
+
+TEST_P(SimulatorArrivals, StreamMatchesArrivalsPushedUpFront) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng setup(seed, 1);
+    std::vector<Time> times(200);
+    for (Time& t : times) t = 0.5 * static_cast<double>(setup.uniform_int(40));
+
+    // Reference: the arrivals pushed into the queue first, in index order.
+    Simulator pushed(GetParam());
+    RandomWorkload ref(pushed, seed);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      pushed.schedule_at(times[i],
+                         [&ref, i] { ref.fire(static_cast<int>(i), 0); });
+    }
+    pushed.run();
+
+    // The stream, driven through run_slice with random widths and stops.
+    Simulator streamed(GetParam());
+    RandomWorkload got(streamed, seed);
+    streamed.set_arrivals(times, [&got](std::uint32_t i) {
+      got.fire(static_cast<int>(i), 0);
+    });
+    Rng driver(seed, 2);
+    while (const std::optional<Time> next = streamed.next_pending_time()) {
+      const double width = 0.5 * static_cast<double>(driver.uniform_int(4));
+      streamed.run_slice(*next + width,
+                         [&driver] { return driver.uniform() < 0.05; });
+    }
+
+    ASSERT_EQ(got.log, ref.log) << "seed " << seed;
+    EXPECT_EQ(streamed.events_executed(), pushed.events_executed());
+    EXPECT_EQ(streamed.events_executed(), got.log.size());
+    EXPECT_GT(got.log.size(), times.size());
+  }
 }
 
 }  // namespace
