@@ -771,6 +771,7 @@ struct ShardOutcome {
   std::size_t arena_high_water = 0;
   std::size_t arena_chunks = 0;
   std::size_t queue_slots = 0;  ///< the simulator's event-slot high water
+  std::size_t ring_high_water = 0;  ///< most fabric entries in one drain
 };
 
 /// A completed shard's counters (shared by the base farm shard and both
@@ -818,6 +819,8 @@ SessionFarmResult aggregate_outcomes(const std::vector<ShardOutcome>& outcomes,
     result.arena_chunk_allocations += outcome.arena_chunks;
     result.queue_slot_high_water =
         std::max(result.queue_slot_high_water, outcome.queue_slots);
+    result.fabric_ring_high_water =
+        std::max(result.fabric_ring_high_water, outcome.ring_high_water);
   }
   // Summed in global session order, so the reduced report cannot depend on
   // the shard decomposition (floating-point addition is order-sensitive).
@@ -1000,16 +1003,22 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
 //      pending event time, plus kFabricSliceSeconds.  The minimum is over
 //      the union of every shard's pending events, which is invariant to the
 //      shard decomposition -- so the epoch timeline is too.
-//   2. advance (parallel):  every worker runs its owned shards' simulators
-//      up to exactly H_k.  Sessions push outgoing fabric messages onto
-//      their shard's rings (producer side).
-//   3. drain (parallel):    every worker drains its owned shards' INCOMING
-//      rings, sorts the merged entries by the (send_time, source, seq)
-//      stamp, and schedules one inbox-flush event at H_k per shard.
+//   2. advance (parallel):  every shard's simulator runs up to exactly H_k.
+//      Sessions push outgoing fabric messages onto their shard's rings
+//      (producer side).
+//   3. drain (parallel):    every shard drains its INCOMING rings, sorts the
+//      merged entries by the (send_time, source, seq) stamp, and schedules
+//      one inbox-flush event at H_k.
 //
-// Each parallel_for join is a full barrier, so the advance and drain phases
-// never overlap anywhere -- each ring has one thread touching it at a time
-// and needs no synchronization of its own.  Messages sent during epoch k are
+// The whole loop is one parallel_phases call (exp/thread_pool.hpp): its
+// phases alternate advance, drain, advance, ..., each running every shard
+// exactly once on whichever pool thread claims it, and the thread that
+// finishes a drain phase's last shard runs the negotiation serially before
+// the next advance phase opens.  The phase gate is a full barrier, so the
+// advance and drain phases never overlap anywhere -- each ring has one
+// thread touching it at a time and needs no synchronization of its own,
+// and which thread runs a shard in an epoch cannot change any event, stamp
+// or epoch.  Messages sent during epoch k are
 // delivered at exactly H_k (the destination's clock cannot have passed H_k,
 // so no message ever arrives in the past), in stamp order, via a flush
 // event scheduled AFTER every event of the slice -- deliveries therefore
@@ -1052,7 +1061,9 @@ class FabricShardBase : public FabricShard {
   /// empty on entry: the previous epoch's flush ran during this epoch's
   /// advance phase (its boundary <= this epoch's horizon).
   void drain_incoming(double boundary) final {
-    if (fabric_.drain_into(shard_id_, inbox_) == 0) return;
+    const std::size_t drained = fabric_.drain_into(shard_id_, inbox_);
+    if (drained == 0) return;
+    ring_high_water_ = std::max(ring_high_water_, drained);
     sort_fabric(inbox_);
     sim_.schedule_at(boundary, [this] { flush_inbox(); });
   }
@@ -1068,6 +1079,13 @@ class FabricShardBase : public FabricShard {
   /// Dispatches one in-order fabric delivery to its destination session.
   virtual void deliver(const CrossShardEntry& entry) = 0;
 
+  /// The shard's counters, fabric high-water mark included.
+  [[nodiscard]] ShardOutcome fabric_outcome(const ShardSink& sink) const {
+    ShardOutcome out = outcome_of(sink, sim_);
+    out.ring_high_water = ring_high_water_;
+    return out;
+  }
+
   void flush_inbox() {
     for (const CrossShardEntry& entry : inbox_) deliver(entry);
     inbox_.clear();
@@ -1078,6 +1096,8 @@ class FabricShardBase : public FabricShard {
   std::uint32_t shard_id_;
   FabricPort port_;
   std::vector<CrossShardEntry> inbox_;
+  /// The most entries one drain_incoming call has collected.
+  std::size_t ring_high_water_ = 0;
 };
 
 /// A subscriber shard of the fabric farm: ordinary single-hop farm sessions
@@ -1113,7 +1133,7 @@ class SubscriberFabricShard final : public FabricShardBase {
   [[nodiscard]] bool complete() const override { return sink_.complete(); }
 
   ShardOutcome finish() override {
-    ShardOutcome out = outcome_of(sink_, sim_);
+    ShardOutcome out = fabric_outcome(sink_);
     out.fabric_dropped = dropped_;
     out.arena_high_water = arena_.slot_capacity();
     out.arena_chunks = arena_.chunk_allocations();
@@ -1251,7 +1271,7 @@ class RelayFabricShard final : public FabricShardBase {
   [[nodiscard]] bool complete() const override { return sink_.complete(); }
 
   ShardOutcome finish() override {
-    ShardOutcome out = outcome_of(sink_, sim_);
+    ShardOutcome out = fabric_outcome(sink_);
     for (const RelaySession& relay : relays_) {
       out.fabric_dropped += relay.hub().unknown_dropped();
     }
@@ -1363,12 +1383,14 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
     }
   });
 
-  // The lockstep epoch loop (see the section comment above).  Each
-  // parallel_for join is the phase barrier; the negotiation and completion
-  // check run serially on the calling thread between joins.
+  // The lockstep epoch loop (see the section comment above).  negotiate()
+  // is the serial step: false once every shard is complete, else it opens
+  // the next epoch.  It runs once on the calling thread, then at the end of
+  // every drain phase on the thread that finished that phase.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::size_t epochs = 0;
-  while (true) {
+  double horizon = 0.0;
+  const auto negotiate = [&]() -> bool {
     bool all_complete = true;
     for (const auto& shard : shard_objs) {
       if (!shard->complete()) {
@@ -1376,7 +1398,7 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
         break;
       }
     }
-    if (all_complete) break;
+    if (all_complete) return false;
     double min_next = kInf;
     for (const auto& shard : shard_objs) {
       const std::optional<double> next = shard->next_pending_within(min_next);
@@ -1385,18 +1407,22 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
     if (min_next == kInf) {
       throw std::logic_error("session farm: fabric stalled before completing");
     }
-    const double horizon = min_next + kFabricSliceSeconds;
+    horizon = min_next + kFabricSliceSeconds;
     ++epochs;
-    parallel_for(engine->pool(), workers, [&](std::size_t w) {
-      for (std::size_t s = w; s < shards; s += workers) {
-        shard_objs[s]->advance_to(horizon);
-      }
-    });
-    parallel_for(engine->pool(), workers, [&](std::size_t w) {
-      for (std::size_t s = w; s < shards; s += workers) {
-        shard_objs[s]->drain_incoming(horizon);
-      }
-    });
+    return true;
+  };
+  if (negotiate()) {
+    // Even phases advance every shard to the horizon, odd phases drain.
+    parallel_phases(
+        engine->pool(), shards,
+        [&](std::size_t phase, std::size_t s) {
+          if (phase % 2 == 0) {
+            shard_objs[s]->advance_to(horizon);
+          } else {
+            shard_objs[s]->drain_incoming(horizon);
+          }
+        },
+        [&](std::size_t phase) { return phase % 2 == 0 || negotiate(); });
   }
 
   std::vector<ShardOutcome> outcomes(shards);

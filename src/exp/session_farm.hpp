@@ -171,8 +171,13 @@ struct SessionFarmResult {
   std::uint64_t fabric_dropped = 0;
   /// ShardRings materialized (directed shard pairs that carry traffic).
   std::size_t fabric_rings = 0;
-  /// Epoch barriers executed by the fabric's lockstep worker loop.
+  /// Epochs executed by the fabric's lockstep worker loop.
   std::size_t fabric_epochs = 0;
+  /// The most fabric entries any one shard drained in one epoch: how far
+  /// the unbounded ShardRing outboxes feeding a shard grew.  It counts per
+  /// destination shard, so it depends on shard_size, but it is identical
+  /// across thread counts.  0 without shared relays.
+  std::size_t fabric_ring_high_water = 0;
   /// Installs accepted across every relay hub (first installs plus
   /// re-installs after a soft-state expiry).
   std::uint64_t relay_installs = 0;

@@ -4,12 +4,12 @@
 // Topology: one ShardRing per DIRECTED shard pair that ever carries traffic
 // (lazily materialized from the static subscription map at farm setup --
 // S^2 rings are never allocated).  Each ring is a plain producer-owned
-// outbox vector.  The farm's epoch barriers separate its two phases in
-// time: during the advance phase only the worker stepping the source shard
-// pushes; after the barrier only the worker owning the destination shard
-// drains.  No two threads ever touch a ring at once, so the ring carries no
-// synchronization of its own: the parallel_for join between the phases is
-// the only fence.
+// outbox vector.  The farm's epoch phase gate (exp::parallel_phases)
+// separates its two phases in time: during the advance phase only the
+// thread stepping the source shard pushes; in the drain phase only the
+// thread draining the destination shard reads it.  No two threads ever
+// touch a ring at once, so the ring carries no synchronization of its own:
+// the gate between the phases is the only fence.
 //
 // Allocation discipline: the vector reserves its capacity hint at
 // construction and grows only while traffic exceeds its high-water mark;
@@ -117,8 +117,8 @@ class ShardRing {
 /// their peers before the first slice, so the set of communicating pairs is
 /// known up front -- "lazy" means only pairs that talk get a ring, not that
 /// rings appear mid-run).  After setup the structure is immutable; workers
-/// only touch ring CONTENTS, each ring by its source shard's worker in the
-/// advance phase and its destination shard's worker in the drain phase.
+/// only touch ring CONTENTS, each ring by the thread running its source
+/// shard in the advance phase and its destination shard in the drain phase.
 class CrossShardFabric {
  public:
   explicit CrossShardFabric(std::size_t shards) : incoming_(shards) {}
@@ -160,7 +160,7 @@ class CrossShardFabric {
 
   /// Drains every ring into destination `dst` (appended to `out`, then
   /// stamp-sorted by the caller).  Consumer side of each ring; called only
-  /// by the worker that owns shard `dst`, only in the drain phase.
+  /// by the thread draining shard `dst`, only in the drain phase.
   std::size_t drain_into(std::uint32_t dst,
                          std::vector<CrossShardEntry>& out) {
     std::size_t n = 0;

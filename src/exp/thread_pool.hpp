@@ -66,4 +66,25 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
+/// Runs a sequence of phases of n items each across the pool, inside ONE
+/// pool round trip, and blocks until the sequence stops.  In phase p every
+/// item(p, i), i in [0, n), runs exactly once; threads claim items
+/// dynamically, in index order.  The thread that finishes a phase's last
+/// item then runs end_of_phase(p) serially, with every write of the phase
+/// visible to it; its writes, and the phase's, are visible to every item of
+/// phase p + 1.  Returning true starts phase p + 1, false stops.
+///
+/// Completion counts items, not threads: whichever threads are live claim
+/// the next item, so a single free pool thread finishes the run even when
+/// every other pool thread is busy elsewhere.  A thread with nothing to
+/// claim in the current phase spins for a bounded number of iterations,
+/// then blocks until the next phase opens.  If an item or end_of_phase
+/// throws, no later phase starts, and the first exception is rethrown here
+/// once every thread has left the run.  A pool of size 1, or n <= 1, runs
+/// the phases serially on the calling thread.
+void parallel_phases(
+    ThreadPool& pool, std::size_t n,
+    const std::function<void(std::size_t phase, std::size_t item)>& item,
+    const std::function<bool(std::size_t phase)>& end_of_phase);
+
 }  // namespace sigcomp::exp

@@ -269,7 +269,7 @@ class EventQueue {
   /// On the heap backend this is peek_ready plus the comparison (the peek
   /// is already O(1)); the wheel backend uses the bound to skip rotations.
   /// Exact by contract: a false return guarantees no pending event at or
-  /// before `bound` -- the cross-shard fabric's epoch-barrier computation
+  /// before `bound` -- the cross-shard fabric's epoch-horizon computation
   /// (a running min over every shard) depends on it.
   [[nodiscard]] bool peek_ready_within(Time bound, Time& time) const;
 

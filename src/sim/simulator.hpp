@@ -141,7 +141,7 @@ class Simulator {
   /// time only when it is <= `bound`, and lets the backend prove "nothing
   /// at or before the bound" cheaply (the timing wheel answers from its
   /// tick cursor without rotating).  The cross-shard fabric computes its
-  /// epoch barrier as a running min over every shard through this call.
+  /// epoch horizon as a running min over every shard through this call.
   /// A pending arrival at or before `bound` counts, and tightens the
   /// bound the queue is asked about.
   [[nodiscard]] std::optional<Time> next_pending_within(Time bound) const {

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/params.hpp"
 #include "core/protocol.hpp"
+#include "exp/parallel.hpp"
 #include "exp/session_farm.hpp"
 #include "protocols/message.hpp"
 #include "protocols/shared_relay.hpp"
@@ -219,6 +221,86 @@ TEST(SharedRelayFarm, BitIdenticalAcrossEventQueueBackends) {
   EXPECT_EQ(heap.fabric_epochs, wheel.fabric_epochs);
   EXPECT_EQ(heap.events_executed, wheel.events_executed);
   EXPECT_EQ(heap.horizon, wheel.horizon);
+}
+
+/// Every per-session result, events_executed and fabric counter of two
+/// runs of one farm configuration.
+void expect_same_farm(const SessionFarmResult& got,
+                      const SessionFarmResult& want) {
+  ASSERT_EQ(got.per_session.size(), want.per_session.size());
+  for (std::size_t i = 0; i < want.per_session.size(); ++i) {
+    EXPECT_EQ(got.per_session[i].inconsistency,
+              want.per_session[i].inconsistency)
+        << "session " << i;
+    EXPECT_EQ(got.per_session[i].session_length,
+              want.per_session[i].session_length)
+        << "session " << i;
+    EXPECT_EQ(got.per_session[i].raw_message_rate,
+              want.per_session[i].raw_message_rate)
+        << "session " << i;
+    EXPECT_EQ(got.per_session[i].message_rate,
+              want.per_session[i].message_rate)
+        << "session " << i;
+  }
+  EXPECT_EQ(got.events_executed, want.events_executed);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.fabric_messages, want.fabric_messages);
+  EXPECT_EQ(got.fabric_dropped, want.fabric_dropped);
+  EXPECT_EQ(got.fabric_rings, want.fabric_rings);
+  EXPECT_EQ(got.fabric_epochs, want.fabric_epochs);
+  EXPECT_EQ(got.fabric_ring_high_water, want.fabric_ring_high_water);
+  EXPECT_EQ(got.relay_installs, want.relay_installs);
+  EXPECT_EQ(got.relay_refreshes, want.relay_refreshes);
+  EXPECT_EQ(got.relay_soft_timeouts, want.relay_soft_timeouts);
+}
+
+TEST(SharedRelayFarm, BitIdenticalOnABusyPool) {
+  // The epoch loop counts shards, not threads: with all but one pool thread
+  // parked elsewhere, the one free thread runs every shard of every phase
+  // and the farm comes out identical to the free-pool run.
+  const SingleHopParams params = SingleHopParams::kazaa_defaults();
+  ParallelSweep engine(4);
+  SessionFarmOptions options = recycling_relay_farm();
+  options.shard_size = 64;  // 7 subscriber shards + 1 relay shard
+  options.engine = &engine;
+  const SessionFarmResult free_pool =
+      run_session_farm(ProtocolKind::kSSER, params, options);
+
+  std::latch parked(3);
+  std::latch release(1);
+  for (int t = 0; t < 3; ++t) {
+    engine.pool().submit([&parked, &release] {
+      parked.count_down();
+      release.wait();
+    });
+  }
+  parked.wait();
+  const SessionFarmResult busy_pool =
+      run_session_farm(ProtocolKind::kSSER, params, options);
+  release.count_down();
+  engine.pool().wait_idle();
+  EXPECT_GT(free_pool.fabric_epochs, 0u);
+  expect_same_farm(busy_pool, free_pool);
+}
+
+TEST(SharedRelayFarm, RingHighWaterIsThreadInvariantAndBounded) {
+  const SingleHopParams params = SingleHopParams::kazaa_defaults();
+  SessionFarmOptions options = recycling_relay_farm();
+  options.shard_size = 64;
+  const SessionFarmResult golden =
+      run_session_farm(ProtocolKind::kSS, params, options);
+  EXPECT_GT(golden.fabric_ring_high_water, 0u);
+  EXPECT_LE(golden.fabric_ring_high_water, golden.fabric_messages);
+  for (const std::size_t threads : {2u, 8u}) {
+    options.threads = threads;
+    EXPECT_EQ(run_session_farm(ProtocolKind::kSS, params, options)
+                  .fabric_ring_high_water,
+              golden.fabric_ring_high_water)
+        << threads << " threads";
+  }
+  const SessionFarmResult relay_free = run_session_farm(
+      ProtocolKind::kSS, params, relay_farm(60, 0, 16));
+  EXPECT_EQ(relay_free.fabric_ring_high_water, 0u);
 }
 
 TEST(SharedRelayFarm, ZeroRelaysLeavesFabricCountersZero) {
