@@ -271,20 +271,23 @@ struct ShardSink {
 /// harness uses, so leaving out a stream changes no other stream's draws:
 /// single-hop farms reject churn and scenarios, so the membership and
 /// scenario streams are never drawn, and the relay stream lives in the
-/// fabric shard's RelayLink.
+/// fabric shard's RelayLink.  Each stream is seeded on its own, so their
+/// order here is layout only: the channel stream, drawn on every send, comes
+/// last, next to the session's channels; the timer streams are drawn only
+/// under exponential timers.
 struct SingleHopRngs {
   explicit SingleHopRngs(std::uint64_t seed)
-      : channel(seed, rng::kSessionChannel),
+      : lifecycle(seed, rng::kSessionLifecycle),
+        failure(seed, rng::kSessionFailure),
         sender(seed, rng::kSessionSender),
         receiver(seed, rng::kSessionReceiver),
-        lifecycle(seed, rng::kSessionLifecycle),
-        failure(seed, rng::kSessionFailure) {}
+        channel(seed, rng::kSessionChannel) {}
 
-  sim::Rng channel;
-  sim::Rng sender;
-  sim::Rng receiver;
   sim::Rng lifecycle;
   sim::Rng failure;
+  sim::Rng sender;
+  sim::Rng receiver;
+  sim::Rng channel;
 };
 
 /// The streams a tree session draws (seeded as SingleHopRngs): every node
@@ -360,26 +363,27 @@ class SingleHopSession {
                    const SessionFarmOptions& options,
                    std::uint64_t global_index, ShardSink& sink,
                    std::size_t local)
-      : sim_(sim),
-        params_(params),
-        options_(options),
-        mech_(mechanisms(kind)),
-        sink_(sink),
-        local_(local),
-        rngs_(replica_seed(options.seed, global_index, 0)),
+      : rngs_(replica_seed(options.seed, global_index, 0)),
         forward_(sim, rngs_.channel, params.loss_config(),
                  sim::DelayConfig{options.delay_model, params.delay,
                                   options.delay_shape},
                  [this](const Message& m) { receiver_.handle(m); }),
+        sim_(sim),
+        receiver_(sim, rngs_.receiver, mechanisms(kind),
+                  timer_settings(options, params), reverse_,
+                  [this] { on_change(); }),
+        sender_(sim, rngs_.sender, mechanisms(kind),
+                timer_settings(options, params), forward_,
+                [this] { on_change(); }),
         reverse_(sim, rngs_.channel, params.loss_config(),
                  sim::DelayConfig{options.delay_model, params.delay,
                                   options.delay_shape},
                  [this](const Message& m) { sender_.handle(m); }),
-        sender_(sim_, rngs_.sender, mech_, timer_settings(options, params),
-                forward_, [this] { on_change(); }),
-        receiver_(sim_, rngs_.receiver, mech_,
-                  timer_settings(options, params), reverse_,
-                  [this] { on_change(); }) {
+        mech_(mechanisms(kind)),
+        params_(params),
+        options_(options),
+        sink_(sink),
+        local_(local) {
     // Staggered Poisson arrivals: conditioned on N arrivals in the window,
     // arrival times are iid uniform over it -- and drawing from the
     // session's own stream keys the time to the global index alone.  The
@@ -459,13 +463,6 @@ class SingleHopSession {
         });
   }
 
-  void cancel(std::optional<sim::EventId>& id) {
-    if (id) {
-      sim_.cancel(*id);
-      id.reset();
-    }
-  }
-
   void on_change() {
     if (done_) return;
     const bool consistent = sender_.value() == receiver_.value();
@@ -497,9 +494,9 @@ class SingleHopSession {
     // M-bar = (messages per session) * lambda_r, as in Eq. (2); the farm's
     // removal rate is 1 / mean lifetime.
     metrics.message_rate = sent / options_.session_lifetime;
-    cancel(update_event_);
-    cancel(false_signal_event_);
-    cancel(removal_event_);
+    sim_.cancel_timer(update_event_);
+    sim_.cancel_timer(false_signal_event_);
+    sim_.cancel_timer(removal_event_);
     // Jump both engines to a dead epoch: stragglers still in flight can no
     // longer resurrect state, re-arm timers or send replies -- which is
     // also what drives quiescent()'s in-flight counts to zero.
@@ -513,32 +510,50 @@ class SingleHopSession {
     sink_.retire(slot_);
   }
 
+  // Layout follows the refresh cycle that dominates a long session: the
+  // sender's refresh goes out on forward_ (drawing from rngs_.channel), the
+  // delivery re-arms receiver_'s timeout, and on_change() reads both
+  // engines and updates inconsistent_.  Those fields sit together, from
+  // rngs_.channel to sender_'s head; reverse_ (ACKs and notices only) and
+  // the fields of arrival, updates and completion follow.  rngs_ precedes
+  // everything that keeps a reference into it.
+  SingleHopRngs rngs_;
+  MessageChannel forward_;
   sim::Simulator& sim_;
+  bool done_ = false;
+  bool sender_removed_ = false;
+  std::uint32_t slot_ = 0;  ///< cold; fills the flags' padding
+  sim::TimeWeightedValue inconsistent_;
+  protocols::ReceiverEngine receiver_;
+  protocols::SenderEngine sender_;
+  MessageChannel reverse_;
+
+  MechanismSet mech_;
+  std::int64_t version_ = 0;
+  sim::EventId update_event_;
+  sim::EventId removal_event_;
+  sim::EventId false_signal_event_;
+  RelayLink* relay_ = nullptr;  ///< fabric subscribers only
   // The shard keeps params/options alive for the sessions' whole lifetime;
   // 100k sessions should not hold 100k copies.
   const SingleHopParams& params_;
   const SessionFarmOptions& options_;
-  MechanismSet mech_;
   ShardSink& sink_;
   std::size_t local_;
-  std::uint32_t slot_ = 0;
-  SingleHopRngs rngs_;
-  MessageChannel forward_;
-  MessageChannel reverse_;
-  protocols::SenderEngine sender_;
-  protocols::ReceiverEngine receiver_;
-
   double arrival_ = 0.0;
   double lifetime_ = 0.0;
-  std::int64_t version_ = 0;
-  bool sender_removed_ = false;
-  bool done_ = false;
-  sim::TimeWeightedValue inconsistent_;
-  std::optional<sim::EventId> update_event_;
-  std::optional<sim::EventId> removal_event_;
-  std::optional<sim::EventId> false_signal_event_;
-  RelayLink* relay_ = nullptr;  ///< fabric subscribers only
 };
+
+#if defined(__GLIBCXX__)
+// Layout fence (libstdc++ sizes: std::function, std::string).  A single-hop
+// session is the farm's unit of memory -- hold-shaped farms keep tens of
+// thousands of them live, and every refresh period walks through all of
+// them -- so a field added to it should show up here, at compile time.
+// 1,296 bytes with gcc 12; PERFORMANCE.md, "What a session costs", has the
+// layout and its measured effect.
+static_assert(sizeof(SingleHopSession) <= 1320,
+              "SingleHopSession grew: measure it before raising the bound");
+#endif
 
 /// One tree session: arrival -> start -> updates over a full
 /// protocols::Topology -- one sender, relays at interior nodes, receivers
@@ -691,13 +706,8 @@ class TreeSession {
       sink_.relay_crashes += failure_->crashes();
       sink_.relay_recoveries += failure_->recoveries();
     }
-    if (update_event_) {
-      sim_.cancel(*update_event_);
-      update_event_.reset();
-    }
-    for (auto& id : false_signal_events_) {
-      if (id) sim_.cancel(*id);
-    }
+    sim_.cancel_timer(update_event_);
+    for (sim::EventId& id : false_signal_events_) sim_.cancel_timer(id);
     false_signal_events_.clear();
     window_messages_ = topology_->messages_sent();
     if (!options_.teardown) {
@@ -750,8 +760,8 @@ class TreeSession {
   double end_time_ = 0.0;              ///< the frozen window end
   std::uint64_t window_messages_ = 0;  ///< messages sent by window end
   sim::TimeWeightedValue inconsistent_;
-  std::optional<sim::EventId> update_event_;
-  std::vector<std::optional<sim::EventId>> false_signal_events_;
+  sim::EventId update_event_;
+  std::vector<sim::EventId> false_signal_events_;
 };
 
 /// The counters one shard reports back to the aggregator (its per-session

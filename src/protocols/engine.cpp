@@ -12,21 +12,14 @@ SenderEngine::SenderEngine(sim::Simulator& sim, sim::Rng& rng,
                            MessageChannel& out, std::function<void()> on_change)
     : sim_(sim),
       rng_(rng),
-      mech_(mechanisms),
-      timers_(timers),
       out_(out),
-      on_change_(std::move(on_change)),
-      slot_(sim, rng, mechanisms, timers, nullptr) {}
+      timers_(timers),
+      slot_(sim, rng, mechanisms, timers_, nullptr),
+      mech_(mechanisms),
+      on_change_(std::move(on_change)) {}
 
 void SenderEngine::notify() {
   if (on_change_) on_change_();
-}
-
-void SenderEngine::cancel(std::optional<sim::EventId>& id) {
-  if (id) {
-    sim_.cancel(*id);
-    id.reset();
-  }
 }
 
 void SenderEngine::begin_epoch(std::uint64_t epoch) {
@@ -35,9 +28,9 @@ void SenderEngine::begin_epoch(std::uint64_t epoch) {
 }
 
 void SenderEngine::reset() {
-  cancel(refresh_timer_);
-  cancel(trigger_retrans_timer_);
-  cancel(removal_retrans_timer_);
+  sim_.cancel_timer(refresh_timer_);
+  sim_.cancel_timer(trigger_retrans_timer_);
+  sim_.cancel_timer(removal_retrans_timer_);
   awaiting_trigger_ack_ = false;
   removal_pending_ = false;
   slot_.clear();
@@ -57,7 +50,7 @@ void SenderEngine::install(std::int64_t value) {
   trigger_seq_ = next_seq_++;
   // An install supersedes a pending removal of the previous incarnation.
   removal_pending_ = false;
-  cancel(removal_retrans_timer_);
+  sim_.cancel_timer(removal_retrans_timer_);
   send_trigger();
   if (mech_.refresh && !refresh_timer_) arm_refresh();
   notify();
@@ -70,15 +63,15 @@ void SenderEngine::update(std::int64_t value) {
   }
   slot_.set(value);
   trigger_seq_ = next_seq_++;
-  cancel(trigger_retrans_timer_);
+  sim_.cancel_timer(trigger_retrans_timer_);
   send_trigger();
   notify();
 }
 
 void SenderEngine::remove() {
   slot_.clear();
-  cancel(refresh_timer_);
-  cancel(trigger_retrans_timer_);
+  sim_.cancel_timer(refresh_timer_);
+  sim_.cancel_timer(trigger_retrans_timer_);
   awaiting_trigger_ack_ = false;
   if (mech_.explicit_removal) {
     removal_seq_ = next_seq_++;
@@ -94,9 +87,9 @@ void SenderEngine::remove() {
 
 void SenderEngine::crash() {
   slot_.clear();
-  cancel(refresh_timer_);
-  cancel(trigger_retrans_timer_);
-  cancel(removal_retrans_timer_);
+  sim_.cancel_timer(refresh_timer_);
+  sim_.cancel_timer(trigger_retrans_timer_);
+  sim_.cancel_timer(removal_retrans_timer_);
   awaiting_trigger_ack_ = false;
   removal_pending_ = false;
   notify();
@@ -125,7 +118,7 @@ double next_stage(double current, const TimerSettings& timers) {
 }  // namespace
 
 void SenderEngine::arm_trigger_retrans() {
-  cancel(trigger_retrans_timer_);
+  sim_.cancel_timer(trigger_retrans_timer_);
   trigger_retrans_timer_ = sim_.schedule_in(
       sim::sample(rng_, timers_.dist, trigger_retrans_interval_),
       [this] { on_trigger_retrans(); });
@@ -140,7 +133,7 @@ void SenderEngine::on_trigger_retrans() {
 }
 
 void SenderEngine::arm_removal_retrans() {
-  cancel(removal_retrans_timer_);
+  sim_.cancel_timer(removal_retrans_timer_);
   removal_retrans_timer_ = sim_.schedule_in(
       sim::sample(rng_, timers_.dist, removal_retrans_interval_),
       [this] { on_removal_retrans(); });
@@ -160,13 +153,13 @@ void SenderEngine::handle(const Message& msg) {
     case MessageType::kAckTrigger:
       if (msg.seq == trigger_seq_ && awaiting_trigger_ack_) {
         awaiting_trigger_ack_ = false;
-        cancel(trigger_retrans_timer_);
+        sim_.cancel_timer(trigger_retrans_timer_);
       }
       break;
     case MessageType::kAckRemove:
       if (msg.seq == removal_seq_ && removal_pending_) {
         removal_pending_ = false;
-        cancel(removal_retrans_timer_);
+        sim_.cancel_timer(removal_retrans_timer_);
       }
       break;
     case MessageType::kNotice:
@@ -174,7 +167,7 @@ void SenderEngine::handle(const Message& msg) {
       // have it, re-install.
       if (slot_.value()) {
         trigger_seq_ = next_seq_++;
-        cancel(trigger_retrans_timer_);
+        sim_.cancel_timer(trigger_retrans_timer_);
         send_trigger();
       }
       break;
@@ -189,13 +182,13 @@ ReceiverEngine::ReceiverEngine(sim::Simulator& sim, sim::Rng& rng,
                                MechanismSet mechanisms, TimerSettings timers,
                                MessageChannel& out,
                                std::function<void()> on_change)
-    : sim_(sim),
-      rng_(rng),
-      mech_(mechanisms),
-      timers_(timers),
-      out_(out),
+    : mech_(mechanisms),
       on_change_(std::move(on_change)),
-      slot_(sim, rng, mechanisms, timers, [this] { on_expire(); }) {}
+      timers_(timers),
+      slot_(sim, rng, mechanisms, timers_, [this] { on_expire(); }),
+      sim_(sim),
+      rng_(rng),
+      out_(out) {}
 
 void ReceiverEngine::notify() {
   if (on_change_) on_change_();

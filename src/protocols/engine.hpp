@@ -81,29 +81,29 @@ class SenderEngine {
   void on_trigger_retrans();
   void arm_removal_retrans();
   void on_removal_retrans();
-  void cancel(std::optional<sim::EventId>& id);
   void notify();
 
+  // Hot first: a refresh (on_refresh_timer -> send -> arm_refresh) touches
+  // everything down to slot_'s value; triggers, ACKs and removals the rest.
   sim::Simulator& sim_;
   sim::Rng& rng_;
-  MechanismSet mech_;
-  TimerSettings timers_;
   MessageChannel& out_;
-  std::function<void()> on_change_;
-
+  sim::EventId refresh_timer_;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t trigger_seq_ = 0;   ///< seq of the latest trigger content
+  TimerSettings timers_;  ///< slot_ refers to it: declared before slot_
   /// The authoritative root copy: never armed, so it cannot time out.
   StateSlot slot_;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t trigger_seq_ = 0;   ///< seq of the latest trigger content
-  std::uint64_t removal_seq_ = 0;
+  MechanismSet mech_;
   bool awaiting_trigger_ack_ = false;
   bool removal_pending_ = false;
-  std::optional<sim::EventId> refresh_timer_;
-  std::optional<sim::EventId> trigger_retrans_timer_;
-  std::optional<sim::EventId> removal_retrans_timer_;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t removal_seq_ = 0;
+  sim::EventId trigger_retrans_timer_;
+  sim::EventId removal_retrans_timer_;
   double trigger_retrans_interval_ = 0.0;
   double removal_retrans_interval_ = 0.0;
+  std::function<void()> on_change_;
 };
 
 /// The signaling receiver ("state holder").
@@ -147,16 +147,17 @@ class ReceiverEngine {
   void on_expire();
   void notify();
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
+  // Hot first: a refresh delivery (handle -> slot_.set/arm_timeout ->
+  // notify) touches everything down to slot_; ACKs and notices the rest.
+  std::uint64_t epoch_ = 0;
   MechanismSet mech_;
-  TimerSettings timers_;
-  MessageChannel& out_;
   std::function<void()> on_change_;
-
+  TimerSettings timers_;  ///< slot_ refers to it: declared before slot_
   /// The held copy plus its soft-state timeout (the mechanism core).
   StateSlot slot_;
-  std::uint64_t epoch_ = 0;
+  sim::Simulator& sim_;
+  sim::Rng& rng_;
+  MessageChannel& out_;
 };
 
 }  // namespace sigcomp::protocols

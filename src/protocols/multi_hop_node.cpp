@@ -18,7 +18,7 @@ TreeSender::TreeSender(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
       on_change_(std::move(on_change)),
       child_active_(down_.size(), 1),
       child_installed_(down_.size(), 0),
-      slot_(sim, rng, mech, timers, nullptr) {
+      slot_(sim, rng, mech, timers_, nullptr) {
   // Sized once, before any timer can be armed: slots capture `this`-stable
   // addresses in their retransmission closures, so the vector must never
   // reallocate afterwards.
@@ -95,10 +95,7 @@ void TreeSender::send_removal_to(std::size_t c, std::uint64_t seq) {
 
 void TreeSender::remove() {
   if (!slot_.clear()) return;
-  if (refresh_timer_) {
-    sim_.cancel(*refresh_timer_);
-    refresh_timer_.reset();
-  }
+  sim_.cancel_timer(refresh_timer_);
   if (mech_.explicit_removal) {
     // One removal, fanned down every branch that was ever installed; each
     // per-child reliable slot matches its own ACK against the shared seq.
@@ -137,10 +134,7 @@ void TreeSender::prune_child(std::size_t c) {
 
 void TreeSender::stop() {
   slot_.clear();
-  if (refresh_timer_) {
-    sim_.cancel(*refresh_timer_);
-    refresh_timer_.reset();
-  }
+  sim_.cancel_timer(refresh_timer_);
   for (ReliableSlot& slot : reliable_down_) slot.cancel();
 }
 
@@ -184,7 +178,7 @@ TreeRelay::TreeRelay(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
       reliable_up_(sim, rng, timers.dist, timers.retrans, up),
       child_active_(down_.size(), 1),
       child_installed_(down_.size(), 0),
-      slot_(sim, rng, mech, timers, [this] { on_expire(); }) {
+      slot_(sim, rng, mech, timers_, [this] { on_expire(); }) {
   reliable_down_.reserve(down_.size());  // fixed size; see TreeSender
   for (MessageChannel* channel : down_) {
     reliable_down_.emplace_back(sim, rng, timers.dist, timers.retrans, channel);

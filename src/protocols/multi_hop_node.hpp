@@ -111,7 +111,7 @@ class TreeSender {
   sim::Simulator& sim_;
   sim::Rng& rng_;
   MechanismSet mech_;
-  TimerSettings timers_;
+  TimerSettings timers_;  ///< slot_ refers to it: declared before slot_
   std::vector<MessageChannel*> down_;
   std::function<void()> on_change_;
   std::vector<ReliableSlot> reliable_down_;  ///< one per child, fixed size
@@ -121,7 +121,7 @@ class TreeSender {
   StateSlot slot_;  ///< the authoritative root copy (never armed)
   std::uint64_t next_seq_ = 1;
   std::uint64_t trigger_seq_ = 0;
-  std::optional<sim::EventId> refresh_timer_;
+  sim::EventId refresh_timer_;
 };
 
 /// A relay node (any non-root node of the tree).  Holds state, forwards
@@ -208,7 +208,7 @@ class TreeRelay {
   sim::Simulator& sim_;
   sim::Rng& rng_;
   MechanismSet mech_;
-  TimerSettings timers_;
+  TimerSettings timers_;  ///< slot_ refers to it: declared before slot_
   MessageChannel* up_;
   std::vector<MessageChannel*> down_;  ///< empty for a leaf
   std::function<void()> on_change_;

@@ -200,19 +200,10 @@ void RelayFailureProcess::start() {
 }
 
 void RelayFailureProcess::stop() {
-  if (crash_timer_) {
-    sim_.cancel(*crash_timer_);
-    crash_timer_.reset();
-  }
+  sim_.cancel_timer(crash_timer_);
   for (std::size_t r = 0; r < down_.size(); ++r) {
-    if (recovery_event_[r]) {
-      sim_.cancel(*recovery_event_[r]);
-      recovery_event_[r].reset();
-    }
-    if (detect_event_[r]) {
-      sim_.cancel(*detect_event_[r]);
-      detect_event_[r].reset();
-    }
+    sim_.cancel_timer(recovery_event_[r]);
+    sim_.cancel_timer(detect_event_[r]);
   }
 }
 

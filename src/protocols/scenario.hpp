@@ -32,7 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "protocols/topology.hpp"
@@ -260,9 +259,9 @@ class RelayFailureProcess {
   std::vector<std::size_t> interior_;  ///< relays with fanout > 0
   std::vector<char> down_;             ///< per relay: currently crashed
   std::vector<char> detected_;         ///< per relay: detector fired already
-  std::vector<std::optional<sim::EventId>> recovery_event_;  ///< per relay
-  std::vector<std::optional<sim::EventId>> detect_event_;    ///< per relay
-  std::optional<sim::EventId> crash_timer_;
+  std::vector<sim::EventId> recovery_event_;  ///< per relay
+  std::vector<sim::EventId> detect_event_;    ///< per relay
+  sim::EventId crash_timer_;
   std::uint64_t crashes_ = 0;
   std::uint64_t recoveries_ = 0;
 };

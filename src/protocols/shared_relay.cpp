@@ -33,10 +33,7 @@ void RelayClient::start(std::int64_t value) {
 void RelayClient::stop() {
   if (!active_) return;
   active_ = false;
-  if (refresh_event_) {
-    sim_.cancel(*refresh_event_);
-    refresh_event_.reset();
-  }
+  sim_.cancel_timer(refresh_event_);
   ++sent_;
   send_(relay_, Message{MessageType::kRemove, value_, sent_, 0});
 }
@@ -125,10 +122,7 @@ void SharedRelayHub::handle(std::uint64_t source, const Message& msg) {
         sub.engaged = false;
         ++departed_;
         if (complete()) {
-          if (fanout_event_) {
-            sim_.cancel(*fanout_event_);
-            fanout_event_.reset();
-          }
+          sim_.cancel_timer(fanout_event_);
           if (on_complete_) on_complete_();
         }
       }

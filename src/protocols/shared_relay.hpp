@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -90,7 +89,7 @@ class RelayClient {
   bool active_ = false;
   std::uint64_t sent_ = 0;
   std::uint64_t echoes_ = 0;
-  std::optional<sim::EventId> refresh_event_;
+  sim::EventId refresh_event_;
 };
 
 /// The relay session: per-subscriber soft state, install fan-in, periodic
@@ -179,7 +178,7 @@ class SharedRelayHub {
   std::uint64_t sent_ = 0;
   std::uint64_t unknown_dropped_ = 0;
   sim::TimeWeightedValue missing_weight_;  ///< integrates missing_count_
-  std::optional<sim::EventId> fanout_event_;
+  sim::EventId fanout_event_;
 };
 
 }  // namespace sigcomp::protocols

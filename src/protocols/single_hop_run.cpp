@@ -1,7 +1,6 @@
 #include "protocols/single_hop_run.hpp"
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
 #include "core/rng_streams.hpp"
@@ -175,13 +174,6 @@ class SingleHopRun {
                      });
   }
 
-  void cancel(std::optional<sim::EventId>& id) {
-    if (id) {
-      sim_.cancel(*id);
-      id.reset();
-    }
-  }
-
   void on_change() {
     const bool consistent = sender_->value() == receiver_->value();
     inconsistent_.set(sim_.now(), consistent ? 0.0 : 1.0);
@@ -196,8 +188,8 @@ class SingleHopRun {
     orphan_total_ += sim_.now() - removal_time_;
     trace_session("absorbed");
     sender_removed_ = false;
-    cancel(update_event_);
-    cancel(removal_event_);
+    sim_.cancel_timer(update_event_);
+    sim_.cancel_timer(removal_event_);
     sender_->reset();
     receiver_->reset();
     if (completed_ < options_.sessions) {
@@ -222,8 +214,8 @@ class SingleHopRun {
   std::unique_ptr<ReceiverEngine> receiver_;
 
   sim::TimeWeightedValue inconsistent_;
-  std::optional<sim::EventId> update_event_;
-  std::optional<sim::EventId> removal_event_;
+  sim::EventId update_event_;
+  sim::EventId removal_event_;
   bool sender_removed_ = false;
   std::uint64_t epoch_ = 0;
   std::int64_t version_ = 0;

@@ -11,8 +11,8 @@ StateSlot::StateSlot(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
                      std::function<void()> on_expire)
     : sim_(sim),
       rng_(rng),
-      mech_(mech),
       timers_(timers),
+      mech_(mech),
       on_expire_(std::move(on_expire)) {}
 
 void StateSlot::arm_timeout() {
@@ -22,12 +22,7 @@ void StateSlot::arm_timeout() {
       sim::sample(rng_, timers_.dist, timers_.timeout), [this] { on_timeout(); });
 }
 
-void StateSlot::cancel_timeout() {
-  if (timeout_timer_) {
-    sim_.cancel(*timeout_timer_);
-    timeout_timer_.reset();
-  }
-}
+void StateSlot::cancel_timeout() { sim_.cancel_timer(timeout_timer_); }
 
 bool StateSlot::clear() {
   cancel_timeout();
@@ -67,14 +62,11 @@ bool ReliableSlot::acknowledge(std::uint64_t seq) {
 
 void ReliableSlot::cancel() {
   outstanding_ = false;
-  if (timer_) {
-    sim_.cancel(*timer_);
-    timer_.reset();
-  }
+  sim_.cancel_timer(timer_);
 }
 
 void ReliableSlot::arm() {
-  if (timer_) sim_.cancel(*timer_);
+  sim_.cancel_timer(timer_);
   timer_ = sim_.schedule_in(sim::sample(rng_, dist_, retrans_timer_),
                             [this] { on_timer(); });
 }

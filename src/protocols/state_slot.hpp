@@ -58,9 +58,15 @@ using MessageChannel = sim::Channel<Message>;
 class StateSlot {
  public:
   /// `on_expire` (may be null) fires after a soft-state timeout cleared the
-  /// value; the owner emits its removal notification there.
+  /// value; the owner emits its removal notification there.  The slot
+  /// keeps a reference to `timers`, not a copy: pass the owner's own
+  /// member, which outlives the slot -- never a temporary or a by-value
+  /// constructor parameter.
   StateSlot(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
             const TimerSettings& timers, std::function<void()> on_expire);
+  /// A temporary would dangle: refused at compile time.
+  StateSlot(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
+            TimerSettings&& timers, std::function<void()> on_expire) = delete;
 
   StateSlot(const StateSlot&) = delete;             ///< non-copyable
   StateSlot& operator=(const StateSlot&) = delete;  ///< non-copyable
@@ -98,15 +104,16 @@ class StateSlot {
  private:
   void on_timeout();
 
+  // Hot first: a refresh's set() + arm_timeout() touches everything down to
+  // mech_; the expiry path adds the rest.
+  std::optional<std::int64_t> value_;
+  sim::EventId timeout_timer_;
   sim::Simulator& sim_;
   sim::Rng& rng_;
+  const TimerSettings& timers_;  ///< the owner's settings
   MechanismSet mech_;
-  TimerSettings timers_;
-  std::function<void()> on_expire_;
-
-  std::optional<std::int64_t> value_;
   std::uint64_t timeouts_ = 0;
-  std::optional<sim::EventId> timeout_timer_;
+  std::function<void()> on_expire_;
 };
 
 /// Per-direction reliable transmission slot: at most one outstanding message
@@ -142,7 +149,7 @@ class ReliableSlot {
   MessageChannel* channel_;
   Message pending_{};
   bool outstanding_ = false;
-  std::optional<sim::EventId> timer_;
+  sim::EventId timer_;
 };
 
 }  // namespace sigcomp::protocols

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -105,34 +106,44 @@ class Channel {
 
   /// Attaches a trace log.  `describe` renders a payload for the trace
   /// detail field; `label` identifies this channel in the records.
+  /// A null `log` detaches tracing.
   void set_trace(TraceLog* log, std::string label,
                  std::function<std::string(const Payload&)> describe) {
-    trace_ = log;
-    trace_label_ = std::move(label);
-    describe_ = std::move(describe);
+    trace_ = log == nullptr ? nullptr
+                            : std::make_unique<Tracer>(Tracer{
+                                  log, std::move(label), std::move(describe)});
   }
 
  private:
+  /// Tracing state, kept behind one pointer: most channels (every farm
+  /// channel) are never traced, and these 72 bytes would otherwise sit in
+  /// every session.
+  struct Tracer {
+    TraceLog* log;
+    std::string label;
+    std::function<std::string(const Payload&)> describe;
+  };
+
   void trace(TraceCategory category, const Payload& message) {
     if (!trace_) return;
-    std::string detail = trace_label_;
-    if (describe_) {
+    std::string detail = trace_->label;
+    if (trace_->describe) {
       detail += ' ';
-      detail += describe_(message);
+      detail += trace_->describe(message);
     }
-    trace_->record(sim_->now(), category, std::move(detail));
+    trace_->log->record(sim_->now(), category, std::move(detail));
   }
 
+  // Hot first: send() and the delivery it schedules touch everything down
+  // to the sink; the trace pointer is read (and is null) on both.
   Simulator* sim_;
   Rng* rng_;
+  ChannelCounters counters_;
+  Time last_arrival_ = 0.0;
   LossProcess loss_;
   DelayConfig delay_;
   Sink sink_;
-  Time last_arrival_ = 0.0;
-  ChannelCounters counters_;
-  TraceLog* trace_ = nullptr;
-  std::string trace_label_;
-  std::function<std::string(const Payload&)> describe_;
+  std::unique_ptr<Tracer> trace_;  ///< null when untraced
 };
 
 }  // namespace sigcomp::sim

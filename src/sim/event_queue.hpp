@@ -4,10 +4,12 @@
 // allocation-free in steady state:
 //
 //  * Callbacks are stored in EventCallback, a move-only type-erased functor
-//    with inline small-buffer storage (no heap allocation for captures up to
-//    kInlineCapacity bytes; every callback in this codebase fits).
-//  * Each pending event occupies a slot in a pooled vector; freed slots are
-//    recycled through an intrusive free list, so steady-state schedule/
+//    with 40 bytes of pointer-aligned inline storage (no heap allocation for
+//    captures up to kInlineCapacity bytes; every callback in this codebase
+//    fits), so the whole callback is 48 bytes.
+//  * Each pending event occupies a 64-byte slot (the callback, the
+//    occupying seq and the free-list link) in a pooled vector; freed slots
+//    are recycled through an intrusive free list, so steady-state schedule/
 //    cancel/pop churn performs zero allocations and zero hash lookups
 //    (cancellation is an O(1) generation check on the slot).
 //  * The ready order is a 4-ary implicit min-heap over (time, seq): ties in
@@ -37,14 +39,20 @@ using Time = double;
 /// Move-only type-erased `void()` callable with inline small-buffer storage.
 ///
 /// Replaces std::function on the event hot path: a callable whose size is at
-/// most kInlineCapacity (and nothrow-move-constructible) lives entirely
-/// inside the EventCallback object; larger callables fall back to the heap
-/// (counted, so tests can assert the hot path never allocates).
+/// most kInlineCapacity, whose alignment is at most kInlineAlignment (and
+/// which is nothrow-move-constructible) lives entirely inside the
+/// EventCallback object; other callables fall back to the heap (counted, so
+/// tests can assert the hot path never allocates).
 class EventCallback {
  public:
-  /// Inline storage size: covers every capture in this codebase (the
-  /// largest is a channel delivery closure: a pointer plus a Message).
-  static constexpr std::size_t kInlineCapacity = 48;
+  /// Inline storage size: exactly the largest capture in this codebase, a
+  /// channel delivery closure (a pointer plus a 32-byte Message).  With the
+  /// vtable pointer the callback is 48 bytes, which keeps EventQueue's slot
+  /// at one 64-byte cache line.  Growing it is a layout change: the
+  /// zero-spill farm tests say when a new closure no longer fits.
+  static constexpr std::size_t kInlineCapacity = 40;
+  /// Inline storage alignment: a pointer's.  Over-aligned callables spill.
+  static constexpr std::size_t kInlineAlignment = alignof(void*);
 
   /// Empty callback (boolean-false; must not be invoked).
   EventCallback() noexcept = default;
@@ -59,7 +67,7 @@ class EventCallback {
                           // std::function at schedule call sites
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  alignof(Fn) <= kInlineAlignment &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       vtable_ = inline_vtable<Fn>();
@@ -164,16 +172,29 @@ class EventCallback {
   }
 
   const VTable* vtable_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
+  alignas(kInlineAlignment) unsigned char storage_[kInlineCapacity];
 };
 
 /// Opaque handle to a scheduled event; usable for cancellation.  `value` is
-/// the event's globally unique sequence number (never reused), `slot` the
-/// pool slot it occupied -- together they make cancellation an O(1)
-/// generation check instead of a hash lookup.
+/// the event's globally unique sequence number (never reused, never 0),
+/// `slot` the pool slot it occupied -- together they make cancellation an
+/// O(1) generation check instead of a hash lookup.
+///
+/// Value 0 makes the handle nullable in its own 16 bytes (a
+/// std::optional<EventId> takes 24): a default-constructed id is EMPTY --
+/// it names no event and cancelling it is a no-op.  Protocol objects keep
+/// their timers as EventIds and clear them with Simulator::cancel_timer.
 struct EventId {
-  std::uint64_t value = 0;  ///< unique sequence number; 0 = invalid
+  std::uint64_t value = 0;  ///< unique sequence number; 0 = empty
   std::uint32_t slot = 0;   ///< pool slot the event occupies
+
+  /// True unless the handle is empty.  A non-empty handle may name an event
+  /// that has since run or been cancelled; only its owner knows.
+  [[nodiscard]] explicit operator bool() const noexcept { return value != 0; }
+
+  /// Empties the handle (cancels nothing).
+  void reset() noexcept { *this = EventId{}; }
+
   friend bool operator==(const EventId&,
                          const EventId&) = default;  ///< field-wise equality
 };
@@ -289,6 +310,10 @@ class EventQueue {
     std::uint32_t next_free = kNoSlot;
     bool drained = false;  ///< extracted by drain_due; no husk in the heap
   };
+  // A slot is one cache line's worth of bytes, and every pending event of a
+  // hold-shaped farm occupies one; PERFORMANCE.md, "What a session costs",
+  // has the measurement.  A field added here shows at compile time.
+  static_assert(sizeof(Slot) == 64, "EventQueue::Slot must stay 64 bytes");
 
   struct HeapEntry {
     Time time;

@@ -80,7 +80,8 @@ class Simulator {
 
   /// Schedules `action` at absolute time `t` (must be >= now()).  Callbacks
   /// are EventCallback: any `void()` callable, stored inline when its
-  /// captures fit kInlineCapacity (always, on the library's own paths).
+  /// captures fit the 40-byte EventCallback::kInlineCapacity (always, on the
+  /// library's own paths).
   EventId schedule_at(Time t, EventCallback action);
 
   /// Schedules `action` after `delay` seconds (negative delays are clamped
@@ -100,6 +101,17 @@ class Simulator {
   /// Cancels a pending event.  Returns false when it already ran/cancelled.
   bool cancel(EventId id) {
     return std::visit([id](auto& queue) { return queue.cancel(id); }, queue_);
+  }
+
+  /// Cancels the event a timer handle names, if any, and empties the
+  /// handle: the one way protocol objects stop a timer.  Returns true when
+  /// a pending event was cancelled; false for an empty handle or an event
+  /// that already ran or was cancelled (the handle ends empty either way).
+  bool cancel_timer(EventId& timer) {
+    if (!timer) return false;
+    const bool cancelled = cancel(timer);
+    timer.reset();
+    return cancelled;
   }
 
   /// Executes the next event (queued or arrival), if any.  Returns false

@@ -15,9 +15,11 @@
 #include <utility>
 #include <vector>
 
+#include "analytic/tree_paths.hpp"
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "exp/session_farm.hpp"
+#include "protocols/scenario.hpp"
 #include "sim/event_queue.hpp"
 
 namespace sigcomp::exp {
@@ -192,6 +194,46 @@ TEST(FarmArena, SteadyStateFarmRunIsAllocationFreeAndRecyclesSlots) {
   // never one pending arrival per session of the shard.
   EXPECT_GT(result.queue_slot_high_water, 0u);
   EXPECT_LT(result.queue_slot_high_water, 1000u);
+
+  // The same zero-spill contract for every protocol on every farm shape:
+  // single-hop sessions, single-hop sessions subscribed to shared relays
+  // across the cross-shard fabric, and churning trees with relay crashes
+  // and teardown.  Together they schedule every closure the library has,
+  // so this is what proves EventCallback's 40-byte inline buffer is big
+  // enough.  Still one thread: the fabric farm's phases run on this thread
+  // too.
+  for (const ProtocolKind kind : kAllProtocols) {
+    SessionFarmOptions single = options;
+    single.sessions = 1000;
+    SessionFarmOptions relayed = single;
+    relayed.shared_relays = 4;
+    SessionFarmOptions tree = options;
+    tree.sessions = 48;
+    tree.arrival_rate = 1.0;
+    tree.session_lifetime = 30.0;
+    tree.leaf_churn.leaf_lifetime = 30.0;
+    tree.leaf_churn.rejoin_rate = 1.0 / 30.0;
+    tree.scenario.failure = protocols::FailureConfig::relay_crash(0.01);
+    tree.teardown = true;
+    const auto tree_params =
+        analytic::TreeParams::balanced(MultiHopParams{}, 4, 2);
+
+    const std::size_t before = sim::EventCallback::heap_allocations();
+    const SessionFarmResult single_result = run_session_farm(
+        kind, SingleHopParams::kazaa_defaults(), single);
+    const SessionFarmResult relayed_result = run_session_farm(
+        kind, SingleHopParams::kazaa_defaults(), relayed);
+    const SessionFarmResult tree_result =
+        run_session_farm(kind, tree_params, tree);
+    EXPECT_EQ(sim::EventCallback::heap_allocations(), before)
+        << to_string(kind);
+    EXPECT_EQ(single_result.sessions, single.sessions);
+    // The fabric carried traffic and the trees churned and crashed, so
+    // those closures were scheduled, not just compiled.
+    EXPECT_GT(relayed_result.relay_installs, 0u) << to_string(kind);
+    EXPECT_GT(tree_result.churn.leaves, 0u) << to_string(kind);
+    EXPECT_GT(tree_result.relay_crashes, 0u) << to_string(kind);
+  }
 }
 
 }  // namespace

@@ -178,6 +178,74 @@ TEST(Simulator, WheelBackendHandlesSelfPerpetuatingChains) {
   EXPECT_EQ(s.events_executed(), 1000u);
 }
 
+// --------------------------------------------------------- timer handles --
+
+/// Timer-handle tests run on both queue backends: an EventId doubles as the
+/// nullable 16-byte handle protocol objects keep, and cancel_timer is how
+/// they stop one.
+class SimulatorTimers : public ::testing::TestWithParam<EventQueueBackend> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, SimulatorTimers,
+                         ::testing::Values(EventQueueBackend::kHeap,
+                                           EventQueueBackend::kWheel),
+                         [](const auto& param_info) {
+                           return std::string(to_string(param_info.param));
+                         });
+
+TEST_P(SimulatorTimers, DefaultHandleIsEmpty) {
+  static_assert(sizeof(EventId) == 16, "a timer handle is 16 bytes");
+  const EventId timer;
+  EXPECT_FALSE(timer);
+  EXPECT_EQ(timer, EventId{});
+  // A scheduled event's handle is never empty: seq 0 is reserved.
+  Simulator s(GetParam());
+  const EventId first = s.schedule_at(1.0, [] {});
+  EXPECT_TRUE(first);
+}
+
+TEST_P(SimulatorTimers, CancellingAnEmptyHandleReturnsFalseAndLeavesItEmpty) {
+  Simulator s(GetParam());
+  int fired = 0;
+  s.schedule_at(1.0, [&] { ++fired; });
+  EventId timer;
+  EXPECT_FALSE(s.cancel_timer(timer));
+  EXPECT_FALSE(timer);
+  // Nothing else was touched: the unrelated event still runs.
+  s.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST_P(SimulatorTimers, CancellingAFiredHandleReturnsFalseAndEmptiesIt) {
+  Simulator s(GetParam());
+  int fired = 0;
+  EventId timer = s.schedule_at(1.0, [&] { ++fired; });
+  s.run();
+  ASSERT_EQ(fired, 1);
+  ASSERT_TRUE(timer);  // still names the event that ran
+  // The fired event's pool slot now holds a new event; the stale handle
+  // must not cancel it.
+  s.schedule_at(2.0, [&] { ++fired; });
+  EXPECT_FALSE(s.cancel_timer(timer));
+  EXPECT_FALSE(timer);
+  s.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST_P(SimulatorTimers, CancellingAPendingEventRunsNothingAndClearsTheHandle) {
+  Simulator s(GetParam());
+  int fired = 0;
+  EventId timer = s.schedule_at(1.0, [&] { ++fired; });
+  s.schedule_at(2.0, [&] { fired += 10; });
+  EXPECT_TRUE(s.cancel_timer(timer));
+  EXPECT_FALSE(timer);
+  EXPECT_EQ(s.pending_events(), 1u);
+  // A second cancel through the now-empty handle is a no-op.
+  EXPECT_FALSE(s.cancel_timer(timer));
+  s.run();
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(s.events_executed(), 1u);
+}
+
 // ------------------------------------------------------ arrival streams --
 
 /// Every arrival-stream test runs on both queue backends.
