@@ -75,6 +75,7 @@
 #include "protocols/engine.hpp"
 #include "protocols/shared_relay.hpp"
 #include "protocols/topology.hpp"
+#include "protocols/tree_session.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -194,7 +195,8 @@ class FabricPort {
 /// call; every shard writes its own slice in place through a ShardSink, and
 /// the reduce reads the store directly -- no per-shard copies, no
 /// concatenation.  `churn` is empty unless sessions own a
-/// MembershipController (see sessions_own_membership).
+/// MembershipController (TreeSessionCore::owns_membership, the predicate
+/// the sessions build their controllers by, so the two cannot drift).
 struct FarmStore {
   FarmStore(std::size_t total, bool with_churn)
       : metrics(total),
@@ -209,15 +211,6 @@ struct FarmStore {
   std::vector<double> end;  ///< completion times, filled on completion
   std::vector<protocols::ChurnReport> churn;
 };
-
-/// True when the farm's sessions own a MembershipController: leaf churn, or
-/// a scenario with membership processes (modulated arrivals, shared-risk
-/// bursts).  TreeSession builds its controller by this predicate and the
-/// farm sizes FarmStore::churn by it, so the two cannot drift.
-bool sessions_own_membership(const SessionFarmOptions& options) {
-  return options.leaf_churn.enabled() ||
-         options.scenario.membership_processes();
-}
 
 /// Where sessions deposit their results: a view of the shard's slice
 /// [first, first + count) of the farm store, indexed by the session's local
@@ -288,30 +281,6 @@ struct SingleHopRngs {
   sim::Rng sender;
   sim::Rng receiver;
   sim::Rng channel;
-};
-
-/// The streams a tree session draws (seeded as SingleHopRngs): every node
-/// of its Topology draws from the channel and sender streams, so there is
-/// no receiver stream, and trees never talk to shared relays.  The
-/// membership and scenario streams are consumed only when the
-/// corresponding workload is enabled.
-struct TreeRngs {
-  explicit TreeRngs(std::uint64_t seed)
-      : channel(seed, rng::kSessionChannel),
-        sender(seed, rng::kSessionSender),
-        lifecycle(seed, rng::kSessionLifecycle),
-        failure(seed, rng::kSessionFailure),
-        membership(seed, rng::kSessionMembership),
-        scenario_arrival(seed, rng::kSessionScenarioArrival),
-        scenario_failure(seed, rng::kSessionScenarioFailure) {}
-
-  sim::Rng channel;
-  sim::Rng sender;
-  sim::Rng lifecycle;
-  sim::Rng failure;
-  sim::Rng membership;
-  sim::Rng scenario_arrival;
-  sim::Rng scenario_failure;
 };
 
 /// The run's timer settings, shared by every engine and relay endpoint.
@@ -555,12 +524,26 @@ static_assert(sizeof(SingleHopSession) <= 1320,
               "SingleHopSession grew: measure it before raising the bound");
 #endif
 
+/// The streams a tree session draws, seeded as SingleHopRngs: every node
+/// of its Topology draws from the sender stream, so there is no receiver
+/// stream, and trees never talk to shared relays.
+protocols::TreeSessionRngs tree_rngs(std::uint64_t seed) {
+  return {sim::Rng(seed, rng::kSessionChannel),
+          sim::Rng(seed, rng::kSessionSender),
+          sim::Rng(seed, rng::kSessionLifecycle),
+          sim::Rng(seed, rng::kSessionFailure),
+          sim::Rng(seed, rng::kSessionMembership),
+          sim::Rng(seed, rng::kSessionScenarioArrival),
+          sim::Rng(seed, rng::kSessionScenarioFailure)};
+}
+
 /// One tree session: arrival -> start -> updates over a full
 /// protocols::Topology -- one sender, relays at interior nodes, receivers
 /// at the leaves, per-edge channels.  Chain sessions run through this very
-/// class as fan-out-1 trees.  Measured over the lifetime window
-/// [arrival, arrival + lifetime], then torn down -- silently with
-/// Topology::stop(), or by explicit removal (see finish()).
+/// class as fan-out-1 trees.  All but the farm's part is the
+/// protocols::TreeSessionCore the tree harness runs too; this class adds
+/// the lifetime window [arrival, arrival + lifetime] and the teardown --
+/// silent with Topology::stop(), or by explicit removal (see finish()).
 ///
 /// Tree sessions are arena-placed but NEVER recycled: quiescent() is
 /// constant false, so a finished tree stays constructed (absorbing
@@ -582,36 +565,13 @@ class TreeSession {
               const SessionFarmOptions& options, std::uint64_t global_index,
               ShardSink& sink, std::size_t local)
       : sim_(sim),
-        params_(params),
-        options_(options),
-        mech_(mechanisms(kind)),
         sink_(sink),
-        local_(local),
-        rngs_(replica_seed(options.seed, global_index, 0)) {
-    std::vector<sim::LossConfig> edge_loss;
-    std::vector<sim::DelayConfig> edge_delay;
-    edge_loss.reserve(params.edges());
-    edge_delay.reserve(params.edges());
-    for (std::size_t e = 0; e < params.edges(); ++e) {
-      edge_loss.push_back(params.edge_loss_config(e));
-      edge_delay.push_back(sim::DelayConfig{options.delay_model,
-                                            params.delay[e],
-                                            options.delay_shape});
-    }
-    topology_ = std::make_unique<protocols::Topology>(
-        sim, rngs_.channel, rngs_.sender, mech_,
-        timer_settings(options, params), params.tree,
-        edge_loss, edge_delay, [this] { on_change(); });
-    if (sessions_own_membership(options)) {
-      membership_ = std::make_unique<protocols::MembershipController>(
-          sim, *topology_, rngs_.membership, options.leaf_churn,
-          options.scenario, &rngs_.scenario_arrival, [this] { on_change(); });
-    }
-    if (options.scenario.failure.enabled()) {
-      failure_ = std::make_unique<protocols::RelayFailureProcess>(
-          sim, *topology_, rngs_.scenario_failure, options.scenario.failure,
-          mech_.external_failure_detector);
-    }
+        local_(static_cast<std::uint32_t>(local)),
+        teardown_(options.teardown),
+        rngs_(tree_rngs(replica_seed(options.seed, global_index, 0))),
+        core_(sim, kind, params, timer_settings(options, params),
+              options.delay_model, options.delay_shape, options.leaf_churn,
+              options.scenario, rngs_, [this] { on_change(); }) {
     // The same first lifecycle draw schedule_arrivals made for this
     // session, so arrival_ is the time its arrival fired.
     const double window =
@@ -620,23 +580,14 @@ class TreeSession {
     lifetime_ = rngs_.lifecycle.exponential(options.session_lifetime);
   }
 
-  /// The arena slot this session occupies (unused: trees never retire, but
-  /// the shard's spawn path is session-type-agnostic).
-  void set_slot(std::uint32_t slot) noexcept { slot_ = slot; }
+  /// Trees never retire, so the arena slot goes unrecorded; the shard's
+  /// spawn path is session-type-agnostic.
+  void set_slot(std::uint32_t /*slot*/) noexcept {}
 
   /// Starts the session (the body of its arrival).
   void begin() {
     inconsistent_ = sim::TimeWeightedValue(arrival_);
-    topology_->sender().start(++version_);
-    schedule_update();
-    if (mech_.external_failure_detector && params_.false_signal_rate > 0.0) {
-      false_signal_events_.resize(topology_->relays());
-      for (std::size_t i = 0; i < topology_->relays(); ++i) {
-        schedule_false_signal(i);
-      }
-    }
-    if (membership_) membership_->start();
-    if (failure_) failure_->start();
+    core_.start();
     sim_.schedule_in(lifetime_, [this] { finish(); });
     on_change();
   }
@@ -645,46 +596,14 @@ class TreeSession {
   [[nodiscard]] bool quiescent() const noexcept { return false; }
 
  private:
-  void schedule_update() {
-    if (params_.update_rate <= 0.0) return;
-    update_event_ = sim_.schedule_in(
-        rngs_.lifecycle.exponential(1.0 / params_.update_rate), [this] {
-          update_event_.reset();
-          topology_->sender().update(++version_);
-          schedule_update();
-        });
-  }
-
-  void schedule_false_signal(std::size_t relay) {
-    false_signal_events_[relay] = sim_.schedule_in(
-        rngs_.failure.exponential(1.0 / params_.false_signal_rate),
-        [this, relay] {
-          false_signal_events_[relay].reset();
-          topology_->relay(relay).external_removal_signal();
-          schedule_false_signal(relay);
-        });
-  }
-
   void on_change() {
     if (done_) return;
-    if (membership_) membership_->on_state_change();
-    bool all_ok = true;
-    for (std::size_t i = 0; i < topology_->relays(); ++i) {
-      // Required nodes must mirror the sender; detached nodes must hold
-      // nothing (without churn every node is required -- the historical
-      // definition, bit for bit).
-      const bool ok = topology_->node_required(i + 1)
-                          ? topology_->relay(i).value() ==
-                                topology_->sender().value()
-                          : !topology_->relay(i).value().has_value();
-      all_ok = all_ok && ok;
-    }
-    inconsistent_.set(sim_.now(), all_ok ? 0.0 : 1.0);
+    inconsistent_.set(sim_.now(), core_.on_state_change() ? 0.0 : 1.0);
   }
 
   /// The lifetime event: ends the measurement window.  Inconsistency
-  /// tracking stops, churn and scenario processes freeze and pending
-  /// update/false-signal events are cancelled.  Without
+  /// tracking stops and the core stops: churn and scenario processes
+  /// freeze and pending update/false-signal events are cancelled.  Without
   /// SessionFarmOptions::teardown the tree is then stopped silently; with
   /// it the sender issues an explicit remove() whose teardown messages
   /// propagate down every branch during a grace period of one timeout
@@ -694,28 +613,21 @@ class TreeSession {
   void finish() {
     done_ = true;
     end_time_ = sim_.now();
-    if (membership_) {
-      membership_->finish();
-      sink_.churn[local_] = membership_->report();
+    core_.stop();
+    if (const auto* membership = core_.membership()) {
+      sink_.churn[local_] = membership->report();
     }
-    if (failure_) {
-      // Cancel the pending crash/recovery/detection events BEFORE the
-      // counters are frozen, so no scenario event straggles past the
-      // window (the teardown tests pin a flat event pool).
-      failure_->stop();
-      sink_.relay_crashes += failure_->crashes();
-      sink_.relay_recoveries += failure_->recoveries();
+    if (const auto* failure = core_.failure()) {
+      sink_.relay_crashes += failure->crashes();
+      sink_.relay_recoveries += failure->recoveries();
     }
-    sim_.cancel_timer(update_event_);
-    for (sim::EventId& id : false_signal_events_) sim_.cancel_timer(id);
-    false_signal_events_.clear();
-    window_messages_ = topology_->messages_sent();
-    if (!options_.teardown) {
+    window_messages_ = core_.topology().messages_sent();
+    if (!teardown_) {
       complete();
       return;
     }
-    topology_->sender().remove();
-    sim_.schedule_in(params_.timeout_timer, [this] { complete(); });
+    core_.topology().sender().remove();
+    sim_.schedule_in(core_.params().timeout_timer, [this] { complete(); });
   }
 
   /// Records the session's metrics over the frozen window and stops the
@@ -725,43 +637,36 @@ class TreeSession {
   /// simulating -- snapshotting keeps results independent of the shard
   /// decomposition.
   void complete() {
-    const std::uint64_t messages = topology_->messages_sent();
+    protocols::Topology& topology = core_.topology();
+    const std::uint64_t messages = topology.messages_sent();
     const auto sent = static_cast<double>(messages);
     Metrics& metrics = sink_.metrics[local_];
     metrics.inconsistency = inconsistent_.mean(end_time_);
     metrics.session_length = lifetime_;
     metrics.raw_message_rate = lifetime_ > 0.0 ? sent / lifetime_ : 0.0;
     metrics.message_rate = metrics.raw_message_rate;
-    topology_->stop();
+    topology.stop();
     sink_.teardown_messages += messages - window_messages_;
     sink_.end[local_] = end_time_;
     sink_.messages += messages;
-    sink_.receiver_timeouts += topology_->relay_timeouts();
+    sink_.receiver_timeouts += topology.relay_timeouts();
     ++sink_.completed;
     // No sink_.retire: the slot cools forever (never quiescent).
   }
 
   sim::Simulator& sim_;
-  const analytic::TreeParams& params_;
-  const SessionFarmOptions& options_;
-  MechanismSet mech_;
   ShardSink& sink_;
-  std::size_t local_;
-  std::uint32_t slot_ = 0;
-  TreeRngs rngs_;
-  std::unique_ptr<protocols::Topology> topology_;
-  std::unique_ptr<protocols::MembershipController> membership_;
-  std::unique_ptr<protocols::RelayFailureProcess> failure_;
+  std::uint32_t local_;  ///< < shard_size, which validate_options bounds
+  bool teardown_;        ///< SessionFarmOptions::teardown
+  bool done_ = false;
+  protocols::TreeSessionRngs rngs_;
+  protocols::TreeSessionCore core_;
 
   double arrival_ = 0.0;
   double lifetime_ = 0.0;
-  std::int64_t version_ = 0;
-  bool done_ = false;
   double end_time_ = 0.0;              ///< the frozen window end
   std::uint64_t window_messages_ = 0;  ///< messages sent by window end
   sim::TimeWeightedValue inconsistent_;
-  sim::EventId update_event_;
-  std::vector<sim::EventId> false_signal_events_;
 };
 
 /// The counters one shard reports back to the aggregator (its per-session
@@ -974,7 +879,9 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
   // wall-clock time.
   const std::size_t workers =
       std::max<std::size_t>(1, std::min(engine->threads(), shards));
-  FarmStore store(n, sessions_own_membership(options));
+  const bool with_churn = protocols::TreeSessionCore::owns_membership(
+      options.leaf_churn, options.scenario);
+  FarmStore store(n, with_churn);
   std::vector<ShardOutcome> outcomes(shards);
   parallel_for(engine->pool(), workers, [&](std::size_t w) {
     std::vector<std::unique_ptr<Shard<Session, Params>>> owned;
@@ -1373,7 +1280,9 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
       std::max<std::size_t>(1, std::min(engine->threads(), shards));
 
   // Build every shard up front (parallel, strided like the base farm).
-  FarmStore store(n + relays, sessions_own_membership(options));
+  const bool with_churn = protocols::TreeSessionCore::owns_membership(
+      options.leaf_churn, options.scenario);
+  FarmStore store(n + relays, with_churn);
   std::vector<std::unique_ptr<FabricShard>> shard_objs(shards);
   parallel_for(engine->pool(), workers, [&](std::size_t w) {
     for (std::size_t s = w; s < shards; s += workers) {
@@ -1475,18 +1384,9 @@ SessionFarmResult run_session_farm(ProtocolKind kind,
 SessionFarmResult run_session_farm(ProtocolKind kind,
                                    const MultiHopParams& params,
                                    const SessionFarmOptions& options) {
-  if (!supports_multi_hop(kind)) {
-    throw std::invalid_argument(
-        "run_session_farm: unsupported multi-hop protocol");
-  }
-  if (options.shared_relays > 0) {
-    throw std::invalid_argument(
-        "run_session_farm: shared relays need single-hop sessions");
-  }
   // A chain session IS a fan-out-1 tree session: one session class, one
   // wiring path, exactly as the tree harness runs chains.
-  return run_farm<TreeSession>(kind, analytic::TreeParams::chain(params),
-                               options);
+  return run_session_farm(kind, analytic::TreeParams::chain(params), options);
 }
 
 SessionFarmResult run_session_farm(ProtocolKind kind,

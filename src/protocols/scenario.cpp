@@ -242,20 +242,13 @@ void RelayFailureProcess::complete_recovery(std::size_t r) {
   topology_.relay(r).recover();
   // Hard state repairs at max(recovery, detection); soft state is left to
   // the next refresh forwarded by the parent.
-  if (external_detector_ && detected_[r] != 0) repair(r);
+  if (external_detector_ && detected_[r] != 0) topology_.regraft_edge(r);
 }
 
 void RelayFailureProcess::complete_detection(std::size_t r) {
   detect_event_[r].reset();
   detected_[r] = 1;
-  if (down_[r] == 0) repair(r);
-}
-
-void RelayFailureProcess::repair(std::size_t r) {
-  // Re-install the parent's cached copy down edge r -- unless the subtree
-  // lost its last joined leaf meanwhile (churn pruned the edge; grafting
-  // would wrongly re-activate it).
-  if (topology_.node_required(r + 1)) topology_.regraft_edge(r);
+  if (down_[r] == 0) topology_.regraft_edge(r);
 }
 
 }  // namespace sigcomp::protocols

@@ -248,7 +248,6 @@ class RelayFailureProcess {
   void crash_tick();
   void complete_recovery(std::size_t r);
   void complete_detection(std::size_t r);
-  void repair(std::size_t r);
 
   sim::Simulator& sim_;
   Topology& topology_;

@@ -1,10 +1,8 @@
 // A fully wired signaling tree: the sender at the root, relays at interior
 // nodes, receivers at the leaves, with per-edge bidirectional channels,
-// sinks connected, and optional per-edge tracing.  One builder shared by
-// the tree harness (protocols/tree_run.cpp, which also runs every chain as
-// the fan-out-1 tree TreeSpec::chain) and the session farm
-// (exp/session_farm.cpp), so topology and wiring can never drift between
-// them.
+// sinks connected, and optional per-edge tracing.  Built by one place,
+// protocols::TreeSessionCore (protocols/tree_session.hpp), which both the
+// tree harness and the session farm run.
 #pragma once
 
 #include <cstdint>
@@ -106,8 +104,12 @@ class Topology {
   /// Re-installs edge e's parent-side cached copy down the edge (the
   /// crash-recovery repair path: after relay e recovers, its parent
   /// re-sends whatever value it still holds, reliably when the protocol's
-  /// triggers are reliable).  A no-op when the parent holds no copy.
-  void regraft_edge(std::size_t e) { graft_edge(e); }
+  /// triggers are reliable).  A no-op when the parent holds no copy, and
+  /// when relay e is no longer required (churn pruned the edge meanwhile;
+  /// grafting would wrongly re-activate it).
+  void regraft_edge(std::size_t e) {
+    if (node_required(e + 1)) graft_edge(e);
+  }
 
   /// True when `node` should hold state: it lies on the path to some joined
   /// leaf (or is one).  The root is always required.  Detached nodes whose

@@ -2,7 +2,10 @@
 // node, connected by lossy per-edge channels, running any of the five
 // protocols, measured against the per-path analytic composition
 // (analytic/tree_paths.hpp).  It is also the multi-hop chain harness: run
-// it on TreeParams::chain, the fan-out-1 tree (Figs. 17-19).
+// it on TreeParams::chain, the fan-out-1 tree (Figs. 17-19).  The tree and
+// its consistency rule are a protocols::TreeSessionCore
+// (protocols/tree_session.hpp), the one the session farm runs too; the
+// harness adds per-node and per-leaf-path monitors over the whole run.
 // With churn enabled (TreeSimOptions::churn) leaves join and leave the
 // live tree IGMP-style and the result carries per-join setup latency and
 // per-leave orphan windows.

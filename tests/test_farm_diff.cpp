@@ -4,10 +4,10 @@
 // every double of every session's Metrics compared bitwise, not just the
 // aggregates -- across all five protocols x {single-hop, chain, tree}
 // topologies x {1, 2, 8} threads x shard sizes {7, 64, 4096}, plus a
-// churn+scenario configuration and a bursts-only one.  This is the lock on
-// the rewrite's core claim: arenas, slot recycling, sliced execution and
-// batched expiry delivery change WHERE sessions live and WHEN their events
-// are popped, never what they compute.
+// churn+scenario configuration, a bursts-only one and one where HS false
+// signals fire.  This is the lock on the rewrite's core claim: arenas, slot
+// recycling, sliced execution and batched expiry delivery change WHERE
+// sessions live and WHEN their events are popped, never what they compute.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -158,6 +158,17 @@ TEST(FarmDiff, ChurnAndScenarioTreeMatchesReference) {
   const analytic::TreeParams params =
       analytic::TreeParams::balanced(diff_hop_params(), 2, 2);
   diff_matrix_cell(ProtocolKind::kSSRT, params, base);
+}
+
+TEST(FarmDiff, FiringFalseSignalsTreeMatchesReference) {
+  // The default tree false_signal_rate (0.02^4 per second) never fires
+  // within a session, so this cell raises it until HS relays take several
+  // false external signals each: the schedule, fire and re-arm path, and
+  // the cancellation of the pending signals at the end of the window.
+  analytic::TreeParams params =
+      analytic::TreeParams::balanced(diff_hop_params(), 2, 2);
+  params.false_signal_rate = 1.0 / 10.0;
+  diff_matrix_cell(ProtocolKind::kHS, params, diff_farm());
 }
 
 TEST(FarmDiff, SharedRiskBurstsWithoutLeafChurnMatchReference) {

@@ -214,6 +214,63 @@ TEST(GoldenTrace, LeafChurnRecordStreamsArePinned) {
   }
 }
 
+/// The full scenario stack on the fanout-2 depth-2 tree under the pin
+/// conditions: leaf churn, interior-relay crashes, a flash-crowd rejoin
+/// storm, shared-risk leave bursts and HS false external signals at
+/// `false_signal_rate` per relay.
+protocols::TreeSimResult scenario_run(ProtocolKind kind,
+                                      double false_signal_rate,
+                                      sim::TraceLog& log) {
+  analytic::TreeParams params =
+      analytic::TreeParams::balanced(MultiHopParams{}, 2, 2);
+  params.false_signal_rate = false_signal_rate;
+  protocols::TreeSimOptions options;
+  options.seed = 2024;
+  options.duration = 300.0;
+  options.trace = &log;
+  options.churn.leaf_lifetime = 30.0;
+  options.churn.rejoin_rate = 1.0 / 15.0;
+  options.scenario.failure =
+      protocols::FailureConfig::relay_crash(1.0 / 30.0, 10.0, 5.0);
+  options.scenario.arrival =
+      protocols::ArrivalConfig::flash_crowd(100.0, 1.0, 50.0);
+  options.scenario.shared_risk =
+      protocols::SharedRiskConfig::bursts(1.0 / 60.0);
+  return protocols::run_tree(kind, params, options);
+}
+
+TEST(GoldenTrace, ScenarioRecordStreamsArePinned) {
+  // The harness with every scenario process and HS false signals firing:
+  // relay crashes and recoveries, storms, bursts and false removals all
+  // land in the record stream.
+  constexpr double kFalseSignalRate = 1.0 / 50.0;
+  constexpr GoldenEntry kScenarioGolden[] = {
+      {ProtocolKind::kSS, 0x9fbd0367841a6a8dULL},
+      {ProtocolKind::kSSER, 0xded2bc71ee7a4943ULL},
+      {ProtocolKind::kSSRT, 0x3bc3ad94a2debacdULL},
+      {ProtocolKind::kSSRTR, 0x9143485a16274c25ULL},
+      {ProtocolKind::kHS, 0x3d6cf9b57115cde9ULL},
+  };
+  for (const GoldenEntry& entry : kScenarioGolden) {
+    sim::TraceLog log(1 << 20);
+    const protocols::TreeSimResult result =
+        scenario_run(entry.kind, kFalseSignalRate, log);
+    EXPECT_GT(result.churn.leaves, 0u) << to_string(entry.kind);
+    EXPECT_GT(result.relay_crashes, 0u) << to_string(entry.kind);
+    EXPECT_GT(result.relay_recoveries, 0u) << to_string(entry.kind);
+    EXPECT_LT(log.total_recorded(), log.capacity())
+        << "trace overflowed; the digest would silently cover a suffix only";
+    const std::uint64_t actual = digest_of(log);
+    EXPECT_EQ(actual, entry.digest)
+        << "scenario " << to_string(entry.kind)
+        << " trace digest moved; actual " << hex(actual);
+  }
+  // The false signals really fire: without them HS records another stream.
+  sim::TraceLog quiet(1 << 20);
+  (void)scenario_run(ProtocolKind::kHS, 0.0, quiet);
+  EXPECT_NE(digest_of(quiet), kScenarioGolden[4].digest);
+}
+
 TEST(GoldenTrace, WheelBackendReproducesEveryPinnedDigest) {
   // The backend-equivalence contract at golden-trace scale: the timing
   // wheel must replay the SAME pinned constants as the heap backend --
