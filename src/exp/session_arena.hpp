@@ -11,14 +11,13 @@
 // chunk_allocations(), flat EventCallback::heap_allocations()).
 //
 // Recycling safety is the session type's contract, not the arena's: a slot
-// is only reused after `T::quiescent()` returns true, which for single-hop
-// sessions means "absorbed AND both channels drained" -- no pending event
-// can still reference the object.  Session types that cannot cheaply prove
-// quiescence (tree sessions) simply never retire; their slots live until
-// the arena is destroyed, which matches the pre-arena farm's memory
-// behavior exactly.  A finished tree session with membership still holds
-// one pending leaf timer per leaf, and cancelling them would change the
-// farm's event counts (see the TreeSession class comment).
+// is only reused after `T::quiescent()` returns true -- no pending event
+// can still reference the object.  For single-hop sessions that means
+// "absorbed AND both channels drained"; for tree sessions "completed,
+// every edge channel drained and no node timer armed", their membership
+// timers having been defused (sim::Simulator::defuse) when the session
+// finished, so those events still run, as no-ops, and the farm's event
+// counts are unchanged.
 #pragma once
 
 #include <cstddef>

@@ -545,19 +545,15 @@ protocols::TreeSessionRngs tree_rngs(std::uint64_t seed) {
 /// the lifetime window [arrival, arrival + lifetime] and the teardown --
 /// silent with Topology::stop(), or by explicit removal (see finish()).
 ///
-/// Tree sessions are arena-placed but NEVER recycled: quiescent() is
-/// constant false, so a finished tree stays constructed (absorbing
-/// stragglers harmlessly) until the arena is destroyed -- the same memory
-/// behavior as the reference farm, which keeps every session alive to the
-/// end of its shard.  Recycling would need more than in-flight accounting
-/// on every edge: with membership, a finished session still holds one
-/// pending leaf timer per leaf (MembershipController's join/leave handlers
-/// return early once it is finished, they do not cancel), and cancelling
-/// those timers would lower events_executed, which the farm's pins fix.
-/// Left pending, the last of 16 leaf timers at a 30 s mean lifetime fires
-/// about 30 * H_16 ~= 101 s after finish on average -- past a 100 s
-/// arrival window even for a session that arrives at t = 0, so recycling
-/// would not lower such a farm's peak slot count.
+/// Tree sessions recycle their arena slots like single-hop ones.  At its
+/// lifetime event the core stops: membership defuses its pending leaf and
+/// burst timers (they still pop, as no-ops, so events_executed is
+/// unchanged) and the failure, update and false-signal events are
+/// cancelled.  complete() stops the tree and retires the slot, and
+/// quiescent() lets the arena reuse it once the tree's channels have
+/// drained and no node timer is armed -- stragglers delivered to the
+/// stopped tree may re-arm timers for a while, so that can take a timeout
+/// interval or so.
 class TreeSession {
  public:
   TreeSession(sim::Simulator& sim, ProtocolKind kind,
@@ -580,9 +576,8 @@ class TreeSession {
     lifetime_ = rngs_.lifecycle.exponential(options.session_lifetime);
   }
 
-  /// Trees never retire, so the arena slot goes unrecorded; the shard's
-  /// spawn path is session-type-agnostic.
-  void set_slot(std::uint32_t /*slot*/) noexcept {}
+  /// The arena slot this session occupies; handed back on retirement.
+  void set_slot(std::uint32_t slot) noexcept { slot_ = slot; }
 
   /// Starts the session (the body of its arrival).
   void begin() {
@@ -592,8 +587,13 @@ class TreeSession {
     on_change();
   }
 
-  /// Never recyclable -- see the class comment.
-  [[nodiscard]] bool quiescent() const noexcept { return false; }
+  /// Slot-recycling safety: complete() has run and the stopped tree is
+  /// quiescent (every channel drained, no timer armed).  The core's other
+  /// events were cancelled or defused by its stop(), so then no pending
+  /// event references this object.
+  [[nodiscard]] bool quiescent() const noexcept {
+    return completed_ && core_.topology().quiescent();
+  }
 
  private:
   void on_change() {
@@ -651,14 +651,17 @@ class TreeSession {
     sink_.messages += messages;
     sink_.receiver_timeouts += topology.relay_timeouts();
     ++sink_.completed;
-    // No sink_.retire: the slot cools forever (never quiescent).
+    completed_ = true;
+    sink_.retire(slot_);
   }
 
   sim::Simulator& sim_;
   ShardSink& sink_;
   std::uint32_t local_;  ///< < shard_size, which validate_options bounds
   bool teardown_;        ///< SessionFarmOptions::teardown
-  bool done_ = false;
+  bool done_ = false;       ///< the lifetime event ran
+  bool completed_ = false;  ///< complete() ran; the slot is retired
+  std::uint32_t slot_ = 0;
   protocols::TreeSessionRngs rngs_;
   protocols::TreeSessionCore core_;
 
@@ -668,6 +671,17 @@ class TreeSession {
   std::uint64_t window_messages_ = 0;  ///< messages sent by window end
   sim::TimeWeightedValue inconsistent_;
 };
+
+#if defined(__GLIBCXX__)
+// Layout fence, beside SingleHopSession's: the arena slot of a tree
+// session.  536 bytes with gcc 12 -- the slot index and completion flag
+// that recycling needs added 8.  Most of a tree's ~25 kB lives behind the
+// core's pointers (Topology, nodes, channels, membership), which this
+// does not see; PERFORMANCE.md, "Recycled tree sessions", has the
+// measured per-session cost.
+static_assert(sizeof(TreeSession) <= 544,
+              "TreeSession grew: measure it before raising the bound");
+#endif
 
 /// The counters one shard reports back to the aggregator (its per-session
 /// results are already in place in the farm store).

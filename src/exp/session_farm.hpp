@@ -145,8 +145,9 @@ struct SessionFarmResult {
   std::vector<Metrics> per_session;
   /// Largest per-shard arena high-water mark (SessionArena::slot_capacity):
   /// the most sessions any shard ever held constructed at once.  Under
-  /// churn this sits far below the shard's session count -- the free-list
-  /// recycling proof the soak tests assert.
+  /// churn this sits far below the shard's session count, for single-hop
+  /// and tree sessions alike -- the free-list recycling proof the soak and
+  /// differential tests assert.
   std::size_t arena_slot_high_water = 0;
   /// Total arena chunk allocations across shards
   /// (SessionArena::chunk_allocations summed).  Flat once the pools reach

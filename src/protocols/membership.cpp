@@ -76,7 +76,23 @@ MembershipController::MembershipController(
   }
 }
 
+template <typename Handler>
+void MembershipController::schedule_tracked(double delay, Handler handler) {
+  const auto entry = static_cast<std::uint32_t>(
+      std::find_if(timers_.begin(), timers_.end(),
+                   [](const sim::EventId& id) { return !id; }) -
+      timers_.begin());
+  if (entry == timers_.size()) timers_.emplace_back();
+  timers_[entry] = sim_.schedule_in(delay, [this, entry, handler] {
+    timers_[entry].reset();
+    handler();
+  });
+}
+
 void MembershipController::start() {
+  // One leave timer per leaf plus the burst process: the usual pending
+  // set, so the handle table rarely grows after this.
+  timers_.reserve(topology_.spec().leaves().size() + 1);
   if (options_.enabled()) {
     // Leaves in increasing node order: the draw order is part of the
     // determinism contract.
@@ -93,7 +109,7 @@ void MembershipController::schedule_leave(std::size_t leaf) {
   // leaf_lifetime is 0 and an unguarded draw would schedule an immediate
   // re-leave forever.
   if (!options_.enabled()) return;
-  sim_.schedule_in(rng_.exponential(options_.leaf_lifetime),
+  schedule_tracked(rng_.exponential(options_.leaf_lifetime),
                    [this, leaf] { do_leave(leaf); });
 }
 
@@ -103,22 +119,21 @@ void MembershipController::schedule_join(std::size_t leaf) {
     // modulation-free run never touches it and replays the iid trace.
     const double delay = arrival_.next_delay(sim_.now(), *scenario_rng_);
     if (!std::isfinite(delay)) return;  // no further arrivals possible
-    sim_.schedule_in(delay, [this, leaf] { do_join(leaf); });
+    schedule_tracked(delay, [this, leaf] { do_join(leaf); });
     return;
   }
   if (options_.rejoin_rate <= 0.0) return;  // departed for good
-  sim_.schedule_in(rng_.exponential(1.0 / options_.rejoin_rate),
+  schedule_tracked(rng_.exponential(1.0 / options_.rejoin_rate),
                    [this, leaf] { do_join(leaf); });
 }
 
 void MembershipController::schedule_burst() {
-  sim_.schedule_in(
+  schedule_tracked(
       scenario_rng_->exponential(1.0 / scenario_.shared_risk.burst_rate),
       [this] { do_burst(); });
 }
 
 void MembershipController::do_burst() {
-  if (finished_) return;
   // One shared-risk event: a uniformly drawn relay's whole subtree fails
   // its members at once -- every joined leaf below it leaves, in
   // increasing node order (the deterministic iteration order).
@@ -136,7 +151,6 @@ void MembershipController::do_burst() {
 }
 
 void MembershipController::do_leave(std::size_t leaf) {
-  if (finished_) return;
   // A stale leave timer (the leaf already departed in a shared-risk burst)
   // is a no-op; without bursts the strict join/leave alternation keeps one
   // timer per leaf and this guard never fires.
@@ -165,7 +179,6 @@ void MembershipController::do_leave(std::size_t leaf) {
 }
 
 void MembershipController::do_join(std::size_t leaf) {
-  if (finished_) return;
   // Defensive mirror of the do_leave guard; the strict alternation keeps
   // at most one join in flight per leaf, so this never fires today.
   if (topology_.leaf_active(leaf)) return;
@@ -249,6 +262,7 @@ void MembershipController::finish() {
   }
   pending_joins_.clear();
   orphans_.clear();
+  for (sim::EventId& timer : timers_) sim_.defuse(timer);
 }
 
 }  // namespace sigcomp::protocols

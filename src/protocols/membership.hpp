@@ -128,13 +128,19 @@ class MembershipController {
   void on_state_change();
 
   /// Freezes the report: whatever is still pending is counted as such.
-  /// Call once, after the simulation horizon.
+  /// Call once, after the simulation horizon.  Every leave, join and burst
+  /// event still pending is defused (Simulator::defuse): it keeps its place
+  /// in the event stream, runs nothing and no longer refers to the
+  /// controller, so membership stops changing with the report frozen and
+  /// the owner may destroy the controller once its own events have drained.
   void finish();
 
   /// The (possibly frozen) churn outcome.
   [[nodiscard]] const ChurnReport& report() const noexcept { return report_; }
 
  private:
+  template <typename Handler>
+  void schedule_tracked(double delay, Handler handler);
   void schedule_leave(std::size_t leaf);
   void schedule_join(std::size_t leaf);
   void do_leave(std::size_t leaf);
@@ -162,6 +168,12 @@ class MembershipController {
   ArrivalProcess arrival_;            ///< rejoin-process sampler
   std::function<void()> changed_;
 
+  /// Handles of every pending leave, join and burst event, for finish()
+  /// to defuse.  One per leaf is not enough: a burst-driven leave leaves
+  /// the leaf's leave timer pending and the rejoin arms a second one.  A
+  /// firing event empties its own entry, and scheduling reuses the first
+  /// empty one.
+  std::vector<sim::EventId> timers_;
   std::vector<PendingJoin> pending_joins_;
   std::vector<Orphan> orphans_;
   ChurnReport report_;

@@ -1,5 +1,6 @@
 #include "protocols/multi_hop_node.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace sigcomp::protocols {
@@ -136,6 +137,12 @@ void TreeSender::stop() {
   slot_.clear();
   sim_.cancel_timer(refresh_timer_);
   for (ReliableSlot& slot : reliable_down_) slot.cancel();
+}
+
+bool TreeSender::armed() const noexcept {
+  return static_cast<bool>(refresh_timer_) ||
+         std::any_of(reliable_down_.begin(), reliable_down_.end(),
+                     [](const ReliableSlot& slot) { return slot.armed(); });
 }
 
 void TreeSender::handle_from_downstream(const Message& msg, std::size_t child) {
@@ -358,6 +365,12 @@ void TreeRelay::stop() {
   slot_.clear();
   reliable_up_.cancel();
   for (ReliableSlot& slot : reliable_down_) slot.cancel();
+}
+
+bool TreeRelay::armed() const noexcept {
+  return slot_.armed() || reliable_up_.armed() ||
+         std::any_of(reliable_down_.begin(), reliable_down_.end(),
+                     [](const ReliableSlot& slot) { return slot.armed(); });
 }
 
 void TreeRelay::crash() {

@@ -95,6 +95,10 @@ class TreeSender {
   /// finite-lifetime session's observation window closes.
   void stop();
 
+  /// True while any of the node's timers is pending: the refresh timer or
+  /// a per-child retransmission timer.
+  [[nodiscard]] bool armed() const noexcept;
+
   /// The installed state value (nullopt before start / after stop).
   [[nodiscard]] std::optional<std::int64_t> value() const noexcept {
     return slot_.value();
@@ -169,6 +173,10 @@ class TreeRelay {
 
   /// Silently ends the session (see TreeSender::stop).
   void stop();
+
+  /// True while any of the node's timers is pending: the soft-state
+  /// timeout or a retransmission timer, upstream or per child.
+  [[nodiscard]] bool armed() const noexcept;
 
   /// Crashes the relay: the held copy and every pending timer vanish
   /// silently (a dead process signals nothing) and the node goes deaf --

@@ -101,6 +101,11 @@ class StateSlot {
   /// Number of soft-state timeout expirations so far.
   [[nodiscard]] std::uint64_t timeouts() const noexcept { return timeouts_; }
 
+  /// True while the soft-state timeout is pending.
+  [[nodiscard]] bool armed() const noexcept {
+    return static_cast<bool>(timeout_timer_);
+  }
+
  private:
   void on_timeout();
 
@@ -137,6 +142,9 @@ class ReliableSlot {
 
   /// True while a sent message awaits its acknowledgment.
   [[nodiscard]] bool outstanding() const noexcept { return outstanding_; }
+
+  /// True while the retransmission timer is pending.
+  [[nodiscard]] bool armed() const noexcept { return static_cast<bool>(timer_); }
 
  private:
   void arm();

@@ -1,5 +1,6 @@
 #include "protocols/topology.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -187,6 +188,19 @@ std::uint64_t Topology::relay_timeouts() const noexcept {
 void Topology::stop() {
   sender_->stop();
   for (auto& relay : relays_) relay->stop();
+}
+
+bool Topology::quiescent() const noexcept {
+  const auto drained = [](const MessageChannel& channel) {
+    const sim::ChannelCounters& c = channel.counters();
+    return c.sent == c.delivered + c.lost;
+  };
+  for (std::size_t e = 0; e < down_.size(); ++e) {
+    if (!drained(*down_[e]) || !drained(*up_[e])) return false;
+  }
+  if (sender_->armed()) return false;
+  return std::none_of(relays_.begin(), relays_.end(),
+                      [](const auto& relay) { return relay->armed(); });
 }
 
 }  // namespace sigcomp::protocols

@@ -131,6 +131,13 @@ class Topology {
   /// state cleared, timers cancelled, nothing signaled.
   void stop();
 
+  /// True when no pending simulator event refers to the tree: every
+  /// channel, in both directions, has delivered or lost everything it was
+  /// handed, and no node has a timer armed.  A stopped tree still re-arms
+  /// timers when stragglers arrive, but only pending events do that: once
+  /// this is true, only a call from outside can make it false again.
+  [[nodiscard]] bool quiescent() const noexcept;
+
  private:
   /// Routes graft/prune/deactivate calls to edge e's parent node (the
   /// sender for root children, a relay otherwise).

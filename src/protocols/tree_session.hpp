@@ -67,8 +67,11 @@ class TreeSessionCore {
   /// membership and failure processes.
   void start();
 
-  /// Freezes the membership report and cancels the pending failure,
-  /// update and false-signal events; the tree itself keeps running.
+  /// Freezes the membership report (defusing its pending leave, join and
+  /// burst events) and cancels the pending failure, update and
+  /// false-signal events; the tree itself keeps running.  Afterwards only
+  /// the tree's own channels and timers refer to the core, so once
+  /// Topology::quiescent() holds, nothing pending does.
   void stop();
 
   /// Tells the membership controller, then applies the consistency rule:
@@ -82,6 +85,10 @@ class TreeSessionCore {
   }
   /// The wired tree.
   [[nodiscard]] Topology& topology() noexcept { return *topology_; }
+  /// The wired tree (const).
+  [[nodiscard]] const Topology& topology() const noexcept {
+    return *topology_;
+  }
   /// The membership controller, or null without one.
   [[nodiscard]] const MembershipController* membership() const noexcept {
     return membership_.get();

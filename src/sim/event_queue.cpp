@@ -224,4 +224,12 @@ bool EventQueue::peek_ready_within(Time bound, Time& time) const {
   return time <= bound;
 }
 
+bool EventQueue::defuse(EventId id) {
+  if (id.value == 0 || id.slot >= slots_.size()) return false;
+  Slot& s = slots_[id.slot];
+  if (s.seq != id.value) return false;
+  s.action = [] {};
+  return true;
+}
+
 }  // namespace sigcomp::sim

@@ -224,6 +224,13 @@ class EventQueue {
   /// surfaces or compaction removes it.
   bool cancel(EventId id);
 
+  /// Replaces a pending event's callback with a no-op in place; returns
+  /// false if already executed/cancelled.  Unlike cancel() the event keeps
+  /// its slot, time and seq: it still pops, in the same order, running
+  /// nothing.  Works on drained events too (take_drained hands out the
+  /// no-op).  The old callback is destroyed here.
+  bool defuse(EventId id);
+
   /// True when no live event remains.
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 

@@ -114,6 +114,21 @@ class Simulator {
     return cancelled;
   }
 
+  /// Defuses the event a timer handle names, if any, and empties the
+  /// handle: its callback becomes a no-op in place.  The event keeps its
+  /// time and seq, so it still pops where it would have, still counts in
+  /// events_executed() and still moves now() -- only its work is gone.  An
+  /// owner that must let go of an event without changing the event stream
+  /// defuses it instead of cancelling it.  Returns true when a pending
+  /// event was defused; false for an empty handle or an event that already
+  /// ran or was cancelled (the handle ends empty either way).
+  bool defuse(EventId& timer) {
+    if (!timer) return false;
+    const EventId id = timer;
+    timer.reset();
+    return std::visit([id](auto& queue) { return queue.defuse(id); }, queue_);
+  }
+
   /// Executes the next event (queued or arrival), if any.  Returns false
   /// when nothing is pending.
   bool step();

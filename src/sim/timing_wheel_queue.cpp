@@ -387,4 +387,12 @@ bool TimingWheelQueue::peek_ready_within(Time bound, Time& time) const {
   return peek_ready(time) && time <= bound;
 }
 
+bool TimingWheelQueue::defuse(EventId id) {
+  if (id.value == 0 || id.slot >= slots_.size()) return false;
+  Slot& s = slots_[id.slot];
+  if (s.seq != id.value) return false;
+  s.action = [] {};
+  return true;
+}
+
 }  // namespace sigcomp::sim

@@ -75,6 +75,12 @@ class TimingWheelQueue {
   /// heap leave a {time, seq} husk behind, reclaimed as in EventQueue.
   bool cancel(EventId id);
 
+  /// Replaces a pending event's callback with a no-op in place, exactly
+  /// like EventQueue::defuse: the event keeps its slot, region, time and
+  /// seq, so it still pops in the same order.  Returns false if already
+  /// executed/cancelled.
+  bool defuse(EventId id);
+
   /// True when no live event remains.
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 

@@ -1,8 +1,9 @@
 // Test-only reference copy of the pre-arena session farm -- see the header
 // for why it exists and which pre-arena semantics it intentionally keeps.
 // This is the last task-per-shard implementation, verbatim apart from the
-// namespace, the entry-point names and keep_per_session support (the
-// differential suite diffs per-session metric vectors element-wise).
+// namespace, the entry-point names, keep_per_session support (the
+// differential suite diffs per-session metric vectors element-wise) and the
+// tree sessions' teardown handshake.
 #include "reference_session_farm.hpp"
 
 #include <algorithm>
@@ -159,6 +160,8 @@ class SingleHopSession {
   [[nodiscard]] std::uint64_t relay_crashes() const noexcept { return 0; }
   /// See relay_crashes.
   [[nodiscard]] std::uint64_t relay_recoveries() const noexcept { return 0; }
+  /// Single-hop sessions have no teardown handshake.
+  [[nodiscard]] std::uint64_t teardown_messages() const noexcept { return 0; }
 
  private:
   void begin() {
@@ -342,6 +345,10 @@ class TreeSession {
   [[nodiscard]] std::uint64_t relay_recoveries() const noexcept {
     return recoveries_;
   }
+  /// Messages sent during the teardown grace period (0 without teardown).
+  [[nodiscard]] std::uint64_t teardown_messages() const noexcept {
+    return teardown_messages_;
+  }
 
  private:
   void begin() {
@@ -413,13 +420,8 @@ class TreeSession {
       crashes_ = failure_->crashes();
       recoveries_ = failure_->recoveries();
     }
-    messages_ = topology_->messages_sent();
-    timeouts_ = topology_->relay_timeouts();
-    const auto sent = static_cast<double>(messages_);
     metrics_.inconsistency = inconsistent_.mean(end);
     metrics_.session_length = lifetime_;
-    metrics_.raw_message_rate = lifetime_ > 0.0 ? sent / lifetime_ : 0.0;
-    metrics_.message_rate = metrics_.raw_message_rate;
     if (update_event_) {
       sim_.cancel(*update_event_);
       update_event_.reset();
@@ -428,6 +430,24 @@ class TreeSession {
       if (id) sim_.cancel(*id);
     }
     false_signal_events_.clear();
+    if (!options_.teardown) {
+      stop();
+      return;
+    }
+    // Teardown pricing: an explicit removal, then one timeout interval of
+    // grace before the counters freeze and the tree stops.
+    window_messages_ = topology_->messages_sent();
+    topology_->sender().remove();
+    sim_.schedule_in(params_.timeout_timer, [this] { stop(); });
+  }
+
+  void stop() {
+    messages_ = topology_->messages_sent();
+    teardown_messages_ = options_.teardown ? messages_ - window_messages_ : 0;
+    timeouts_ = topology_->relay_timeouts();
+    const auto sent = static_cast<double>(messages_);
+    metrics_.raw_message_rate = lifetime_ > 0.0 ? sent / lifetime_ : 0.0;
+    metrics_.message_rate = metrics_.raw_message_rate;
     topology_->stop();
     hooks_.on_completed();
   }
@@ -447,6 +467,8 @@ class TreeSession {
   std::int64_t version_ = 0;
   bool done_ = false;
   std::uint64_t messages_ = 0;
+  std::uint64_t window_messages_ = 0;    ///< at window end (teardown only)
+  std::uint64_t teardown_messages_ = 0;  ///< sent during the grace period
   std::uint64_t timeouts_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t recoveries_ = 0;
@@ -469,6 +491,7 @@ struct ShardOutcome {
   std::uint64_t receiver_timeouts = 0;
   std::uint64_t relay_crashes = 0;
   std::uint64_t relay_recoveries = 0;
+  std::uint64_t teardown_messages = 0;
   double end_time = 0.0;
   std::size_t peak = 0;
 };
@@ -503,6 +526,7 @@ ShardOutcome run_shard(ProtocolKind kind, const Params& params,
     out.receiver_timeouts += session->receiver_timeouts();
     out.relay_crashes += session->relay_crashes();
     out.relay_recoveries += session->relay_recoveries();
+    out.teardown_messages += session->teardown_messages();
   }
   out.events = sim.events_executed();
   out.end_time = sim.now();
@@ -549,6 +573,7 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
     result.receiver_timeouts += outcome.receiver_timeouts;
     result.relay_crashes += outcome.relay_crashes;
     result.relay_recoveries += outcome.relay_recoveries;
+    result.teardown_messages += outcome.teardown_messages;
     result.horizon = std::max(result.horizon, outcome.end_time);
     result.peak_sessions_in_flight += outcome.peak;
   }

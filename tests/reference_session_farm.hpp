@@ -16,6 +16,10 @@
 //    single-shard truth.
 //  * arena_slot_high_water / arena_chunk_allocations stay zero (there is
 //    no arena here).
+//
+// One later addition: tree sessions honour SessionFarmOptions::teardown
+// (window-end removal, one timeout interval of grace, then the stop), so
+// the recycling differential can cover trees that cool under teardown.
 #pragma once
 
 #include "core/protocol.hpp"

@@ -233,6 +233,9 @@ TEST(FarmArena, SteadyStateFarmRunIsAllocationFreeAndRecyclesSlots) {
     EXPECT_GT(relayed_result.relay_installs, 0u) << to_string(kind);
     EXPECT_GT(tree_result.churn.leaves, 0u) << to_string(kind);
     EXPECT_GT(tree_result.relay_crashes, 0u) << to_string(kind);
+    // Finished trees recycle their slots too.
+    EXPECT_LT(tree_result.arena_slot_high_water, tree.sessions)
+        << to_string(kind);
   }
 }
 

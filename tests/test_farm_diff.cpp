@@ -89,6 +89,7 @@ void expect_farms_identical(const SessionFarmResult& reference,
   EXPECT_EQ(reference.horizon, arena.horizon);
   EXPECT_EQ(reference.relay_crashes, arena.relay_crashes);
   EXPECT_EQ(reference.relay_recoveries, arena.relay_recoveries);
+  EXPECT_EQ(reference.teardown_messages, arena.teardown_messages);
   EXPECT_TRUE(reference.churn == arena.churn);
   EXPECT_EQ(reference.summary.mean.inconsistency,
             arena.summary.mean.inconsistency);
@@ -184,6 +185,53 @@ TEST(FarmDiff, SharedRiskBurstsWithoutLeafChurnMatchReference) {
   const SessionFarmResult result =
       run_session_farm(ProtocolKind::kSS, params, base);
   EXPECT_GT(result.churn.leaves, 0u);
+}
+
+TEST(FarmDiff, RecyclingTreesMatchReference) {
+  // Tree sessions reuse their arena slots once quiescent.  Four-second
+  // lifetimes over a 120 s arrival window keep a handful of the 72 trees in
+  // flight, so every slot is reused -- while each session churns its
+  // leaves, takes shared-risk bursts and flash-crowd rejoins, and has
+  // relays crash.  A burst-driven leave leaves the leaf's leave timer
+  // pending and its rejoin arms a second one, so a finished tree can own
+  // several pending timers per leaf: all of them must be defused before
+  // the slot is reused.  HS never times its state out and its crashed
+  // relays stay deaf after the session ends; SS+RT re-arms timeouts on
+  // every straggler.  Teardown on and off: with it a session cools only
+  // after a timeout interval of removal traffic.  Half-second hops keep
+  // messages on the wire when the next arrival looks for a free slot, so
+  // a tree reused before its channels drain would be caught.
+  SessionFarmOptions base = diff_farm();
+  base.arrival_rate = static_cast<double>(kSessions) / 120.0;
+  base.session_lifetime = 4.0;
+  base.leaf_churn.leaf_lifetime = 3.0;
+  base.leaf_churn.rejoin_rate = 1.0;
+  base.scenario.failure = protocols::FailureConfig::relay_crash(0.2, 2.0, 1.0);
+  base.scenario.arrival =
+      protocols::ArrivalConfig::flash_crowd(20.0, 2.0, 60.0);
+  base.scenario.shared_risk = protocols::SharedRiskConfig::bursts(0.5);
+  MultiHopParams hop = diff_hop_params();
+  hop.delay = 0.5;
+  hop.retrans_timer = 2.0;  // 4D
+  const analytic::TreeParams params =
+      analytic::TreeParams::balanced(hop, 2, 2);
+  for (const bool teardown : {false, true}) {
+    for (const ProtocolKind kind : {ProtocolKind::kHS, ProtocolKind::kSSRT}) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(kind) << " teardown=" << teardown);
+      SessionFarmOptions options = base;
+      options.teardown = teardown;
+      diff_matrix_cell(kind, params, options);
+      // One shard of all 72: its slot high-water mark is the most trees
+      // ever constructed at once, so staying below 72 means slots were
+      // reused.
+      options.shard_size = kSessions;
+      const SessionFarmResult result = run_session_farm(kind, params, options);
+      EXPECT_LT(result.arena_slot_high_water, kSessions);
+      EXPECT_GT(result.churn.leaves, 0u);
+      EXPECT_GT(result.relay_crashes, 0u);
+    }
+  }
 }
 
 TEST(FarmDiff, ChurnFreeFarmsReportNoChurn) {

@@ -4,6 +4,7 @@
 // replays / thread counts / shard sizes, and mid-churn teardown hygiene.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/topology.hpp"
 #include "exp/session_farm.hpp"
 #include "protocols/membership.hpp"
+#include "protocols/scenario.hpp"
 #include "protocols/topology.hpp"
 #include "protocols/tree_run.hpp"
 #include "sim/channel_process.hpp"
@@ -326,6 +328,42 @@ TEST(ChurnTeardown, StopMidChurnLeavesNoDanglingEventsAndAFlatPool) {
             << to_string(kind) << ": event pool grew at cycle " << cycle;
       }
     }
+  }
+}
+
+TEST(ChurnTeardown, FinishedControllerOutlivesNoneOfItsTimers) {
+  // finish() defuses every leave, join and burst event the controller
+  // still has pending, so its owner may destroy it before they fire -- the
+  // session farm recycles finished trees that way.  Shared-risk bursts make
+  // it the hard case: a burst-driven leave leaves the leaf's leave timer
+  // pending and the rejoin arms another, so a leaf can own several.  A
+  // missed one runs into a destroyed controller (ASan: heap-use-after-free).
+  sim::Rng membership_rng(57, 2);
+  sim::Rng scenario_rng(57, 3);
+  protocols::ChurnOptions churn;
+  churn.leaf_lifetime = 3.0;
+  churn.rejoin_rate = 1.0;
+  protocols::ScenarioOptions scenario;
+  scenario.shared_risk = protocols::SharedRiskConfig::bursts(0.5);
+  scenario.arrival = protocols::ArrivalConfig::flash_crowd(2.0, 2.0, 10.0);
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    Wired w(ProtocolKind::kSSRT, TreeSpec::balanced(2, 2));
+    auto controller = std::make_unique<protocols::MembershipController>(
+        w.sim, *w.topology, membership_rng, churn, scenario, &scenario_rng,
+        nullptr);
+    w.topology->sender().start(1);
+    controller->start();
+    w.sim.run_until(9.7 + cycle);
+    controller->finish();
+    w.topology->stop();
+    const std::uint64_t leaves = controller->report().leaves;
+    controller.reset();
+    // Four leaves plus the burst process: at least five timers pending,
+    // more once bursts have stranded some.
+    EXPECT_GE(w.sim.pending_events(), 5u) << "cycle " << cycle;
+    w.sim.run();
+    EXPECT_TRUE(w.sim.idle());
+    EXPECT_GT(leaves, 0u);
   }
 }
 

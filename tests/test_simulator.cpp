@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -244,6 +245,134 @@ TEST_P(SimulatorTimers, CancellingAPendingEventRunsNothingAndClearsTheHandle) {
   s.run();
   EXPECT_EQ(fired, 10);
   EXPECT_EQ(s.events_executed(), 1u);
+}
+
+// ------------------------------------------------------------- defusing --
+
+TEST_P(SimulatorTimers, DefusedEventRunsNothingAndClearsTheHandle) {
+  Simulator s(GetParam());
+  int fired = 0;
+  EventId timer = s.schedule_at(1.0, [&] { ++fired; });
+  s.schedule_at(2.0, [&] { fired += 10; });
+  EXPECT_TRUE(s.defuse(timer));
+  EXPECT_FALSE(timer);
+  // Unlike a cancelled event, the defused one is still pending.
+  EXPECT_EQ(s.pending_events(), 2u);
+  s.run();
+  EXPECT_EQ(fired, 10);
+}
+
+TEST_P(SimulatorTimers, DefusedEventStillCountsAsExecuted) {
+  Simulator s(GetParam());
+  EventId timer = s.schedule_at(1.0, [] {});
+  s.schedule_at(2.0, [] {});
+  ASSERT_TRUE(s.defuse(timer));
+  s.run();
+  EXPECT_EQ(s.events_executed(), 2u);
+  EXPECT_TRUE(s.idle());
+}
+
+TEST_P(SimulatorTimers, DefusedEventKeepsTheClockAndOrderOfANoOpTwin) {
+  // Two runs of one schedule, with ties at t = 2: in one the event at
+  // index 2 is defused, in the other it was a no-op from the start.  Every
+  // step must pop at the same time, in the same order.
+  using Trace = std::vector<std::pair<Time, int>>;
+  const auto drive = [this](bool defuse) {
+    Simulator s(GetParam());
+    Trace trace;
+    const std::vector<Time> times{1.0, 2.0, 2.0, 2.0, 3.5};
+    EventId target;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      const int id = static_cast<int>(i);
+      if (i == 2 && !defuse) {
+        s.schedule_at(times[i], [] {});
+        continue;
+      }
+      const EventId handle = s.schedule_at(
+          times[i], [&trace, &s, id] { trace.emplace_back(s.now(), id); });
+      if (i == 2) target = handle;
+    }
+    if (defuse) {
+      EXPECT_TRUE(s.defuse(target));
+    }
+    while (s.step()) trace.emplace_back(s.now(), -1);
+    EXPECT_EQ(s.events_executed(), times.size());
+    return trace;
+  };
+  const Trace defused = drive(true);
+  EXPECT_EQ(defused, drive(false));
+  // The defused event's own step still moved the clock to t = 2.
+  EXPECT_EQ(std::count(defused.begin(), defused.end(),
+                       std::pair<Time, int>{2.0, -1}),
+            3);
+}
+
+TEST_P(SimulatorTimers, DefusingAnEmptyRunOrCancelledHandleReturnsFalse) {
+  Simulator s(GetParam());
+  int fired = 0;
+  EventId empty;
+  EXPECT_FALSE(s.defuse(empty));
+  EXPECT_FALSE(empty);
+
+  EventId ran = s.schedule_at(1.0, [&] { ++fired; });
+  s.run();
+  ASSERT_EQ(fired, 1);
+  // The run event's slot now holds a new event; the stale handle must not
+  // defuse it.
+  s.schedule_at(2.0, [&] { fired += 10; });
+  EXPECT_FALSE(s.defuse(ran));
+  EXPECT_FALSE(ran);
+
+  EventId cancelled = s.schedule_at(3.0, [&] { fired += 100; });
+  EventId copy = cancelled;
+  ASSERT_TRUE(s.cancel_timer(cancelled));
+  EXPECT_FALSE(s.defuse(copy));
+  EXPECT_FALSE(copy);
+  s.run();
+  EXPECT_EQ(fired, 11);
+  EXPECT_EQ(s.events_executed(), 2u);
+}
+
+TEST_P(SimulatorTimers, DefusingAnEventDrainedIntoTheCurrentSliceRunsTheNoOp) {
+  // run_slice drains every event due by the horizon before dispatching
+  // any, so the event at t = 2 is already out of the queue when the one at
+  // t = 1 defuses it: take_drained must hand out the no-op.
+  Simulator s(GetParam());
+  int fired = 0;
+  EventId later;
+  s.schedule_at(1.0, [&] {
+    ++fired;
+    EXPECT_TRUE(s.defuse(later));
+  });
+  later = s.schedule_at(2.0, [&] { fired += 10; });
+  s.schedule_at(3.0, [&] { fired += 100; });
+  EXPECT_FALSE(s.run_slice(10.0, [] { return false; }));
+  EXPECT_EQ(fired, 101);
+  EXPECT_EQ(s.events_executed(), 3u);
+  EXPECT_FALSE(later);
+  EXPECT_TRUE(s.idle());
+}
+
+TEST_P(SimulatorTimers, DefusingAllocatesNothing) {
+  Simulator s(GetParam());
+  // Grow the pool first, so the loop below only reuses slots.
+  for (int i = 0; i < 64; ++i) s.schedule_in(1.0, [] {});
+  s.run();
+  const std::uint64_t before = EventCallback::heap_allocations();
+  std::uint64_t sum = 0;
+  for (int round = 0; round < 100; ++round) {
+    std::vector<EventId> timers;
+    for (int i = 0; i < 64; ++i) {
+      timers.push_back(s.schedule_in(1.0 + i, [&sum, i] { sum += i; }));
+    }
+    for (std::size_t i = 0; i < timers.size(); i += 2) {
+      ASSERT_TRUE(s.defuse(timers[i]));
+    }
+    s.run();
+  }
+  EXPECT_EQ(EventCallback::heap_allocations(), before);
+  // Only the odd events ran: 100 rounds of 1 + 3 + ... + 63.
+  EXPECT_EQ(sum, 100u * 32u * 32u);
 }
 
 // ------------------------------------------------------ arrival streams --

@@ -289,6 +289,51 @@ TEST(TopologyTeardown, StopMidRefreshLeavesNoDanglingEvents) {
   }
 }
 
+TEST(TopologyTeardown, QuiescentWaitsForDeliveriesAndTimers) {
+  // Topology::quiescent() is what lets the session farm reuse a finished
+  // tree's arena slot, so each of its terms must hold it back on its own:
+  // a message on the wire with no timer armed, and a timer armed with
+  // every channel drained.
+  for (const ProtocolKind kind : kMultiHopProtocols) {
+    SCOPED_TRACE(to_string(kind));
+    sim::Simulator sim;
+    sim::Rng channel_rng(33, 0);
+    sim::Rng node_rng(33, 1);
+    const MechanismSet mech = mechanisms(kind);
+    protocols::TimerSettings timers;
+    const TreeSpec spec = TreeSpec::balanced(2, 2);
+    const std::vector<sim::LossConfig> loss(spec.edges(),
+                                            sim::LossConfig::iid(0.0));
+    const std::vector<sim::DelayConfig> delay(
+        spec.edges(),
+        sim::DelayConfig{sim::DelayModel::kDeterministic, 0.03, 1.5});
+    protocols::Topology topology(sim, channel_rng, node_rng, mech, timers,
+                                 spec, loss, delay, nullptr);
+    EXPECT_TRUE(topology.quiescent());  // nothing sent, nothing armed
+
+    topology.sender().start(1);
+    EXPECT_FALSE(topology.quiescent());
+    topology.stop();
+    // stop() disarmed every timer, but the root's triggers are in flight.
+    EXPECT_FALSE(topology.sender().armed());
+    for (std::size_t i = 0; i < topology.relays(); ++i) {
+      EXPECT_FALSE(topology.relay(i).armed());
+    }
+    EXPECT_FALSE(topology.quiescent());
+
+    // The stopped relays install the stragglers and forward them; once the
+    // last has landed (two hops of 30 ms), soft state still has its
+    // timeouts armed on drained channels.
+    sim.run_until(1.0);
+    if (mech.soft_timeout) {
+      EXPECT_FALSE(topology.quiescent());
+    }
+    sim.run();
+    EXPECT_TRUE(sim.idle());
+    EXPECT_TRUE(topology.quiescent());
+  }
+}
+
 // ------------------------------------------------------- tree session farm --
 
 exp::SessionFarmOptions small_tree_farm(std::size_t sessions) {
