@@ -271,6 +271,46 @@ TEST(GoldenTrace, ScenarioRecordStreamsArePinned) {
   EXPECT_NE(digest_of(quiet), kScenarioGolden[4].digest);
 }
 
+TEST(GoldenTrace, IrregularTreeRecordStreamsArePinned) {
+  // A tree no builder makes: the root's children are edges {0, 1, 5} and
+  // node 1's are {2, 4}, so no node numbers its child edges contiguously;
+  // fan-outs are 3, 2, 1, 1 and 1; leaf 6 hangs at depth 1 beside leaves 7
+  // and 8 at depth 3.  Leaf churn and interior-relay crashes run on it, so
+  // every per-child route (ACKs, notices, grafts, prunes, re-grafts after
+  // recovery) is taken on a child index that differs from the edge id.
+  // Pinned on the per-node-vector layout, before the flat tree layout.
+  constexpr GoldenEntry kIrregularGolden[] = {
+      {ProtocolKind::kSS, 0x832cae42c6c5fafeULL},
+      {ProtocolKind::kSSER, 0xda4574c582900059ULL},
+      {ProtocolKind::kSSRT, 0xde8c3a9c4ec48a10ULL},
+      {ProtocolKind::kSSRTR, 0x744109bdd1f1519cULL},
+      {ProtocolKind::kHS, 0x45c3e4258291997eULL},
+  };
+  const analytic::TreeParams params = analytic::TreeParams::uniform(
+      MultiHopParams{}, TreeSpec{{0, 0, 1, 2, 1, 0, 3, 5}});
+  for (const GoldenEntry& entry : kIrregularGolden) {
+    sim::TraceLog log(1 << 20);
+    protocols::TreeSimOptions options;
+    options.seed = 2024;
+    options.duration = 300.0;
+    options.trace = &log;
+    options.churn.leaf_lifetime = 30.0;
+    options.churn.rejoin_rate = 1.0 / 15.0;
+    options.scenario.failure =
+        protocols::FailureConfig::relay_crash(1.0 / 30.0, 10.0, 5.0);
+    const protocols::TreeSimResult result =
+        protocols::run_tree(entry.kind, params, options);
+    EXPECT_GT(result.churn.leaves, 0u) << to_string(entry.kind);
+    EXPECT_GT(result.relay_crashes, 0u) << to_string(entry.kind);
+    EXPECT_LT(log.total_recorded(), log.capacity())
+        << "trace overflowed; the digest would silently cover a suffix only";
+    const std::uint64_t actual = digest_of(log);
+    EXPECT_EQ(actual, entry.digest)
+        << "irregular tree " << to_string(entry.kind)
+        << " trace digest moved; actual " << hex(actual);
+  }
+}
+
 TEST(GoldenTrace, WheelBackendReproducesEveryPinnedDigest) {
   // The backend-equivalence contract at golden-trace scale: the timing
   // wheel must replay the SAME pinned constants as the heap backend --
