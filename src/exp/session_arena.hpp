@@ -2,13 +2,18 @@
 //
 // The million-session farm places every per-session object (channels,
 // engines, RNG streams, metric accumulators -- one Session aggregate) into
-// chunked raw storage owned by the shard, so steady-state session
-// arrival/teardown performs ZERO heap allocations: an arriving session
+// chunked raw storage owned by the shard: an arriving session
 // placement-constructs into a recycled slot, a finished session moves to a
 // cooling list and is destroyed + recycled once it is quiescent.  This is
 // the sim::EventQueue pooled-slot discipline lifted to whole sessions, and
 // tests assert it the same way (flat slot_capacity(), flat
-// chunk_allocations(), flat EventCallback::heap_allocations()).
+// chunk_allocations(), flat EventCallback::heap_allocations()).  For
+// single-hop sessions, which live entirely in their slot, steady-state
+// arrival/teardown performs ZERO heap allocations.  A tree session recycles
+// its slot the same way but allocates as it is built: its Topology and the
+// one block that holds its nodes, channels and per-edge arrays, then its
+// membership and failure processes -- 11 blocks on tree_churn's 21-node
+// tree (TreeFootprint.* bounds them) -- all freed when the slot is reused.
 //
 // Recycling safety is the session type's contract, not the arena's: a slot
 // is only reused after `T::quiescent()` returns true -- no pending event

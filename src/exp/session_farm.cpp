@@ -537,6 +537,22 @@ protocols::TreeSessionRngs tree_rngs(std::uint64_t seed) {
           sim::Rng(seed, rng::kSessionScenarioFailure)};
 }
 
+/// A tree farm's run constants, shared by every shard and session: the
+/// tree's parameters and the TreeShape each session's Topology is built
+/// on, so no session copies or re-derives what its spec alone determines.
+struct TreeRun {
+  TreeRun(const analytic::TreeParams& tree_params,
+          const SessionFarmOptions& options)
+      : params(tree_params),
+        shape(protocols::TreeShape::of(tree_params, options.delay_model,
+                                       options.delay_shape)) {}
+
+  void validate() const { params.validate(); }
+
+  const analytic::TreeParams& params;
+  protocols::TreeShape shape;
+};
+
 /// One tree session: arrival -> start -> updates over a full
 /// protocols::Topology -- one sender, relays at interior nodes, receivers
 /// at the leaves, per-edge channels.  Chain sessions run through this very
@@ -556,8 +572,7 @@ protocols::TreeSessionRngs tree_rngs(std::uint64_t seed) {
 /// interval or so.
 class TreeSession {
  public:
-  TreeSession(sim::Simulator& sim, ProtocolKind kind,
-              const analytic::TreeParams& params,
+  TreeSession(sim::Simulator& sim, ProtocolKind kind, const TreeRun& run,
               const SessionFarmOptions& options, std::uint64_t global_index,
               ShardSink& sink, std::size_t local)
       : sim_(sim),
@@ -565,8 +580,8 @@ class TreeSession {
         local_(static_cast<std::uint32_t>(local)),
         teardown_(options.teardown),
         rngs_(tree_rngs(replica_seed(options.seed, global_index, 0))),
-        core_(sim, kind, params, timer_settings(options, params),
-              options.delay_model, options.delay_shape, options.leaf_churn,
+        core_(sim, kind, run.params, run.shape,
+              timer_settings(options, run.params), options.leaf_churn,
               options.scenario, rngs_, [this] { on_change(); }) {
     // The same first lifecycle draw schedule_arrivals made for this
     // session, so arrival_ is the time its arrival fired.
@@ -673,14 +688,22 @@ class TreeSession {
 };
 
 #if defined(__GLIBCXX__)
-// Layout fence, beside SingleHopSession's: the arena slot of a tree
-// session.  536 bytes with gcc 12 -- the slot index and completion flag
-// that recycling needs added 8.  Most of a tree's ~25 kB lives behind the
-// core's pointers (Topology, nodes, channels, membership), which this
-// does not see; PERFORMANCE.md, "Recycled tree sessions", has the
-// measured per-session cost.
+// Layout fences, beside SingleHopSession's.  The arena slot of a tree
+// session: 536 bytes with gcc 12 -- the slot index and completion flag
+// that recycling needs added 8.  Most of a tree lives behind the core's
+// pointers, which this does not see: its Topology and the one block
+// holding its nodes, channels and per-edge arrays, then the membership
+// and failure processes -- 15.6 kB requested in 11 blocks on tree_churn's
+// fanout-4 depth-2 tree, which TreeFootprint.* bounds.  PERFORMANCE.md,
+// "Flat trees", has the measured per-session cost.
 static_assert(sizeof(TreeSession) <= 544,
               "TreeSession grew: measure it before raising the bound");
+// A tree's nodes, one sender and a relay per edge, all in the topology's
+// block: 160 and 256 bytes with gcc 12.
+static_assert(sizeof(protocols::TreeSender) <= 168,
+              "TreeSender grew: measure it before raising the bound");
+static_assert(sizeof(protocols::TreeRelay) <= 264,
+              "TreeRelay grew: measure it before raising the bound");
 #endif
 
 /// The counters one shard reports back to the aggregator (its per-session
@@ -1414,7 +1437,9 @@ SessionFarmResult run_session_farm(ProtocolKind kind,
     throw std::invalid_argument(
         "run_session_farm: shared relays need single-hop sessions");
   }
-  return run_farm<TreeSession>(kind, params, options);
+  // Options first, as run_farm checks them, before the shape reads params.
+  validate_options(options);
+  return run_farm<TreeSession>(kind, TreeRun(params, options), options);
 }
 
 }  // namespace sigcomp::exp

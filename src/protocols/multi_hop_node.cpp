@@ -1,47 +1,30 @@
 #include "protocols/multi_hop_node.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace sigcomp::protocols {
 
 // ------------------------------------------------------------ TreeSender --
 
-TreeSender::TreeSender(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-                       TimerSettings timers,
-                       std::vector<MessageChannel*> down,
-                       std::function<void()> on_change)
-    : sim_(sim),
-      rng_(rng),
-      mech_(mech),
-      timers_(timers),
-      down_(std::move(down)),
-      on_change_(std::move(on_change)),
-      child_active_(down_.size(), 1),
-      child_installed_(down_.size(), 0),
-      slot_(sim, rng, mech, timers_, nullptr) {
-  // Sized once, before any timer can be armed: slots capture `this`-stable
-  // addresses in their retransmission closures, so the vector must never
-  // reallocate afterwards.
-  reliable_down_.reserve(down_.size());
-  for (MessageChannel* channel : down_) {
-    reliable_down_.emplace_back(sim, rng, timers.dist, timers.retrans, channel);
-  }
-}
+TreeSender::TreeSender(TreeContext& ctx,
+                       std::span<const std::uint32_t> children)
+    : ctx_(ctx),
+      children_(children),
+      slot_(ctx.sim, ctx.rng, ctx.mech, ctx.timers, nullptr) {}
 
-void TreeSender::send_trigger_to(std::size_t c) {
+void TreeSender::send_trigger_to(std::size_t e) {
   const Message msg{MessageType::kTrigger, *slot_.value(), trigger_seq_, 0};
-  child_installed_[c] = 1;
-  if (mech_.reliable_trigger) {
-    reliable_down_[c].send(msg);
+  ctx_.child_installed[e] = 1;
+  if (ctx_.mech.reliable_trigger) {
+    ctx_.reliable_down[e].send(msg);
   } else {
-    down_[c]->send(msg);
+    ctx_.down[e].send(msg);
   }
 }
 
 void TreeSender::send_trigger() {
-  for (std::size_t c = 0; c < down_.size(); ++c) {
-    if (child_active_[c]) send_trigger_to(c);
+  for (const std::uint32_t e : children_) {
+    if (ctx_.child_active[e]) send_trigger_to(e);
   }
 }
 
@@ -49,8 +32,8 @@ void TreeSender::start(std::int64_t value) {
   slot_.set(value);
   trigger_seq_ = next_seq_++;
   send_trigger();
-  if (mech_.refresh && !refresh_timer_) arm_refresh();
-  if (on_change_) on_change_();
+  if (ctx_.mech.refresh && !refresh_timer_) arm_refresh();
+  ctx_.notify();
 }
 
 void TreeSender::update(std::int64_t value) {
@@ -61,103 +44,105 @@ void TreeSender::update(std::int64_t value) {
   slot_.set(value);
   trigger_seq_ = next_seq_++;
   send_trigger();
-  if (on_change_) on_change_();
+  ctx_.notify();
 }
 
 void TreeSender::arm_refresh() {
-  refresh_timer_ = sim_.schedule_in(
-      sim::sample(rng_, timers_.dist, timers_.refresh), [this] {
+  refresh_timer_ = ctx_.sim.schedule_in(
+      sim::sample(ctx_.rng, ctx_.timers.dist, ctx_.timers.refresh), [this] {
         refresh_timer_.reset();
         if (slot_.value()) {
           const Message msg{MessageType::kRefresh, *slot_.value(),
                             trigger_seq_, 0};
-          for (std::size_t c = 0; c < down_.size(); ++c) {
-            if (!child_active_[c]) continue;
-            child_installed_[c] = 1;
-            down_[c]->send(msg);
+          for (const std::uint32_t e : children_) {
+            if (!ctx_.child_active[e]) continue;
+            ctx_.child_installed[e] = 1;
+            ctx_.down[e].send(msg);
           }
           arm_refresh();
         }
       });
 }
 
-/// Emits one removal down child edge c: reliably (superseding any pending
+/// Emits one removal down child edge e: reliably (superseding any pending
 /// trigger in the slot) when the protocol's removals are reliable, best
 /// effort -- with the pending trigger cancelled -- otherwise.
-void TreeSender::send_removal_to(std::size_t c, std::uint64_t seq) {
+void TreeSender::send_removal_to(std::size_t e, std::uint64_t seq) {
   const Message msg{MessageType::kRemove, 0, seq, 0};
-  if (mech_.reliable_removal) {
-    reliable_down_[c].send(msg);
+  if (ctx_.mech.reliable_removal) {
+    ctx_.reliable_down[e].send(msg);
   } else {
-    reliable_down_[c].cancel();
-    down_[c]->send(msg);
+    ctx_.reliable_down[e].cancel();
+    ctx_.down[e].send(msg);
   }
 }
 
 void TreeSender::remove() {
   if (!slot_.clear()) return;
-  sim_.cancel_timer(refresh_timer_);
-  if (mech_.explicit_removal) {
+  ctx_.sim.cancel_timer(refresh_timer_);
+  if (ctx_.mech.explicit_removal) {
     // One removal, fanned down every branch that was ever installed; each
     // per-child reliable slot matches its own ACK against the shared seq.
     const std::uint64_t seq = next_seq_++;
-    for (std::size_t c = 0; c < down_.size(); ++c) {
-      if (!child_installed_[c]) {
-        reliable_down_[c].cancel();
+    for (const std::uint32_t e : children_) {
+      if (!ctx_.child_installed[e]) {
+        ctx_.reliable_down[e].cancel();
         continue;
       }
-      child_installed_[c] = 0;
-      send_removal_to(c, seq);
+      ctx_.child_installed[e] = 0;
+      send_removal_to(e, seq);
     }
   } else {
-    for (ReliableSlot& slot : reliable_down_) slot.cancel();
+    for (const std::uint32_t e : children_) ctx_.reliable_down[e].cancel();
   }
-  if (on_change_) on_change_();
+  ctx_.notify();
 }
 
-void TreeSender::graft_child(std::size_t c) {
-  child_active_[c] = 1;
-  if (slot_.value()) send_trigger_to(c);
+void TreeSender::graft_child(std::size_t e) {
+  ctx_.child_active[e] = 1;
+  if (slot_.value()) send_trigger_to(e);
 }
 
-void TreeSender::deactivate_child(std::size_t c) {
-  child_active_[c] = 0;
-  reliable_down_[c].cancel();
+void TreeSender::deactivate_child(std::size_t e) {
+  ctx_.child_active[e] = 0;
+  ctx_.reliable_down[e].cancel();
 }
 
-void TreeSender::prune_child(std::size_t c) {
-  deactivate_child(c);
-  if (mech_.explicit_removal && child_installed_[c]) {
-    child_installed_[c] = 0;
-    send_removal_to(c, next_seq_++);
+void TreeSender::prune_child(std::size_t e) {
+  deactivate_child(e);
+  if (ctx_.mech.explicit_removal && ctx_.child_installed[e]) {
+    ctx_.child_installed[e] = 0;
+    send_removal_to(e, next_seq_++);
   }
 }
 
 void TreeSender::stop() {
   slot_.clear();
-  sim_.cancel_timer(refresh_timer_);
-  for (ReliableSlot& slot : reliable_down_) slot.cancel();
+  ctx_.sim.cancel_timer(refresh_timer_);
+  for (const std::uint32_t e : children_) ctx_.reliable_down[e].cancel();
 }
 
 bool TreeSender::armed() const noexcept {
   return static_cast<bool>(refresh_timer_) ||
-         std::any_of(reliable_down_.begin(), reliable_down_.end(),
-                     [](const ReliableSlot& slot) { return slot.armed(); });
+         std::any_of(children_.begin(), children_.end(),
+                     [this](std::uint32_t e) {
+                       return ctx_.reliable_down[e].armed();
+                     });
 }
 
-void TreeSender::handle_from_downstream(const Message& msg, std::size_t child) {
+void TreeSender::handle_from_downstream(const Message& msg, std::size_t edge) {
   switch (msg.type) {
     case MessageType::kAckTrigger:
     case MessageType::kAckRemove:
-      reliable_down_[child].acknowledge(msg.seq);
+      ctx_.reliable_down[edge].acknowledge(msg.seq);
       break;
     case MessageType::kNotice:
       // A receiver removed our state (timeout or false external signal);
       // re-install.  Under HS the notice traveled reliably, so acknowledge.
       // The fresh trigger goes down every branch: relays that still hold
       // the value re-ack the duplicate without re-forwarding it.
-      if (mech_.external_failure_detector) {
-        down_[child]->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
+      if (ctx_.mech.external_failure_detector) {
+        ctx_.down[edge].send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
       }
       if (slot_.value()) {
         trigger_seq_ = next_seq_++;
@@ -171,65 +156,49 @@ void TreeSender::handle_from_downstream(const Message& msg, std::size_t child) {
 
 // ------------------------------------------------------------- TreeRelay --
 
-TreeRelay::TreeRelay(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-                     TimerSettings timers, MessageChannel* up,
-                     std::vector<MessageChannel*> down,
-                     std::function<void()> on_change)
-    : sim_(sim),
-      rng_(rng),
-      mech_(mech),
-      timers_(timers),
-      up_(up),
-      down_(std::move(down)),
-      on_change_(std::move(on_change)),
-      reliable_up_(sim, rng, timers.dist, timers.retrans, up),
-      child_active_(down_.size(), 1),
-      child_installed_(down_.size(), 0),
-      slot_(sim, rng, mech, timers_, [this] { on_expire(); }) {
-  reliable_down_.reserve(down_.size());  // fixed size; see TreeSender
-  for (MessageChannel* channel : down_) {
-    reliable_down_.emplace_back(sim, rng, timers.dist, timers.retrans, channel);
-  }
-}
-
-void TreeRelay::notify() {
-  if (on_change_) on_change_();
-}
+TreeRelay::TreeRelay(TreeContext& ctx, MessageChannel& up,
+                     std::span<const std::uint32_t> children)
+    : ctx_(ctx),
+      up_(&up),
+      children_(children),
+      reliable_up_(ctx.sim, ctx.rng, ctx.timers.dist, ctx.timers.retrans,
+                   &up),
+      slot_(ctx.sim, ctx.rng, ctx.mech, ctx.timers, [this] { on_expire(); }) {}
 
 /// The soft-state timeout fired and the slot dropped the value: emit the
 /// one-hop repair notice where the protocol has removal notification.
 void TreeRelay::on_expire() {
-  if (mech_.removal_notification) {
+  if (ctx_.mech.removal_notification) {
     // One-hop repair notice (SS+RT): the upstream neighbor re-triggers.
     up_->send(Message{MessageType::kNotice, 0, 0, 0});
   }
-  notify();
+  ctx_.notify();
 }
 
-void TreeRelay::forward_trigger_to(std::size_t child, std::int64_t value) {
+void TreeRelay::forward_trigger_to(std::size_t e, std::int64_t value) {
   const Message msg{MessageType::kTrigger, value, next_seq_++, 0};
-  child_installed_[child] = 1;
-  if (mech_.reliable_trigger) {
-    reliable_down_[child].send(msg);
+  ctx_.child_installed[e] = 1;
+  if (ctx_.mech.reliable_trigger) {
+    ctx_.reliable_down[e].send(msg);
   } else {
-    down_[child]->send(msg);
+    ctx_.down[e].send(msg);
   }
 }
 
 void TreeRelay::forward_trigger(std::int64_t value) {
-  for (std::size_t c = 0; c < down_.size(); ++c) {
-    if (child_active_[c]) forward_trigger_to(c, value);
+  for (const std::uint32_t e : children_) {
+    if (ctx_.child_active[e]) forward_trigger_to(e, value);
   }
 }
 
-/// Emits one removal down child edge c (see TreeSender::send_removal_to).
-void TreeRelay::send_removal_to(std::size_t c, std::uint64_t seq) {
+/// Emits one removal down child edge e (see TreeSender::send_removal_to).
+void TreeRelay::send_removal_to(std::size_t e, std::uint64_t seq) {
   const Message msg{MessageType::kRemove, 0, seq, 0};
-  if (mech_.reliable_removal) {
-    reliable_down_[c].send(msg);
+  if (ctx_.mech.reliable_removal) {
+    ctx_.reliable_down[e].send(msg);
   } else {
-    reliable_down_[c].cancel();
-    down_[c]->send(msg);
+    ctx_.reliable_down[e].cancel();
+    ctx_.down[e].send(msg);
   }
 }
 
@@ -237,33 +206,42 @@ void TreeRelay::send_removal_to(std::size_t c, std::uint64_t seq) {
 /// (NOT gated on activity: a removal chases state wherever it went).
 void TreeRelay::forward_removal() {
   const std::uint64_t seq = next_seq_++;
-  for (std::size_t c = 0; c < down_.size(); ++c) {
-    if (!child_installed_[c]) continue;
-    child_installed_[c] = 0;
-    send_removal_to(c, seq);
+  for (const std::uint32_t e : children_) {
+    if (!ctx_.child_installed[e]) continue;
+    ctx_.child_installed[e] = 0;
+    send_removal_to(e, seq);
   }
 }
 
-void TreeRelay::graft_child(std::size_t c) {
-  child_active_[c] = 1;
-  if (slot_.value()) forward_trigger_to(c, *slot_.value());
+/// Reliable teardown down every branch (HS recovery), each with its own seq.
+void TreeRelay::teardown_children() {
+  for (const std::uint32_t e : children_) {
+    ctx_.child_installed[e] = 0;
+    ctx_.reliable_down[e].send(
+        Message{MessageType::kTeardown, 0, next_seq_++, 0});
+  }
 }
 
-void TreeRelay::deactivate_child(std::size_t c) {
-  child_active_[c] = 0;
-  reliable_down_[c].cancel();
+void TreeRelay::graft_child(std::size_t e) {
+  ctx_.child_active[e] = 1;
+  if (slot_.value()) forward_trigger_to(e, *slot_.value());
 }
 
-void TreeRelay::prune_child(std::size_t c) {
-  deactivate_child(c);
+void TreeRelay::deactivate_child(std::size_t e) {
+  ctx_.child_active[e] = 0;
+  ctx_.reliable_down[e].cancel();
+}
+
+void TreeRelay::prune_child(std::size_t e) {
+  deactivate_child(e);
   // A crashed relay cannot signal: the prune degrades to a silent
   // deactivation and the stranded downstream copies are left to their
   // soft-state timeouts (or to the removal that chases them after
   // recovery).
   if (crashed_) return;
-  if (mech_.explicit_removal && child_installed_[c]) {
-    child_installed_[c] = 0;
-    send_removal_to(c, next_seq_++);
+  if (ctx_.mech.explicit_removal && ctx_.child_installed[e]) {
+    ctx_.child_installed[e] = 0;
+    send_removal_to(e, next_seq_++);
   }
 }
 
@@ -272,7 +250,7 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
   switch (msg.type) {
     case MessageType::kTrigger: {
       const bool duplicate = slot_.holds(msg.value);
-      if (mech_.reliable_trigger) {
+      if (ctx_.mech.reliable_trigger) {
         up_->send(Message{MessageType::kAckTrigger, 0, msg.seq, 0});
       }
       slot_.set(msg.value);
@@ -281,7 +259,7 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
       // re-forwarded: the downstream copies are already in flight or pending.
       if (!duplicate) {
         forward_trigger(msg.value);
-        notify();
+        ctx_.notify();
       }
       break;
     }
@@ -289,19 +267,19 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
       slot_.set(msg.value);
       slot_.arm_timeout();
       // Forward the refresh copy down every active branch, best effort.
-      for (std::size_t c = 0; c < down_.size(); ++c) {
-        if (!child_active_[c]) continue;
-        child_installed_[c] = 1;
-        down_[c]->send(msg);
+      for (const std::uint32_t e : children_) {
+        if (!ctx_.child_active[e]) continue;
+        ctx_.child_installed[e] = 1;
+        ctx_.down[e].send(msg);
       }
-      notify();
+      ctx_.notify();
       break;
     case MessageType::kRemove:
       // Graceful explicit removal (SS+ER best effort; SS+RTR/HS reliable).
       // Always re-ACK so a lost ACK is repaired by the retransmission, but
       // propagate only once per removal seq -- a retransmitted removal must
       // not re-flood the subtree.
-      if (mech_.reliable_removal) {
+      if (ctx_.mech.reliable_removal) {
         up_->send(Message{MessageType::kAckRemove, 0, msg.seq, 0});
       }
       // The parent's seq counter is monotonic, so anything at or below the
@@ -310,18 +288,14 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
       if (removal_seen_ && msg.seq <= removal_seq_seen_) break;
       removal_seen_ = true;
       removal_seq_seen_ = msg.seq;
-      if (slot_.clear()) notify();
+      if (slot_.clear()) ctx_.notify();
       forward_removal();
       break;
     case MessageType::kTeardown:
       // Reliable downstream propagation of a removal signal (HS recovery).
       up_->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
-      if (slot_.clear()) notify();
-      for (std::size_t c = 0; c < down_.size(); ++c) {
-        child_installed_[c] = 0;
-        reliable_down_[c].send(
-            Message{MessageType::kTeardown, 0, next_seq_++, 0});
-      }
+      if (slot_.clear()) ctx_.notify();
+      teardown_children();
       break;
     case MessageType::kAckNotice:
       reliable_up_.acknowledge(msg.seq);
@@ -331,29 +305,29 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
   }
 }
 
-void TreeRelay::handle_from_downstream(const Message& msg, std::size_t child) {
+void TreeRelay::handle_from_downstream(const Message& msg, std::size_t edge) {
   if (crashed_) return;  // a dead process hears nothing
   switch (msg.type) {
     case MessageType::kAckTrigger:
     case MessageType::kAckNotice:
     case MessageType::kAckRemove:
-      reliable_down_[child].acknowledge(msg.seq);
+      ctx_.reliable_down[edge].acknowledge(msg.seq);
       break;
     case MessageType::kNotice:
-      if (mech_.external_failure_detector) {
+      if (ctx_.mech.external_failure_detector) {
         // HS recovery: acknowledge, drop our own state, keep flooding the
         // notice toward the sender.
-        down_[child]->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
+        ctx_.down[edge].send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
         if (slot_.value()) {
           slot_.clear();
-          notify();
+          ctx_.notify();
         }
         reliable_up_.send(Message{MessageType::kNotice, 0, next_seq_++, 0});
-      } else if (slot_.value() && child_active_[child]) {
+      } else if (slot_.value() && ctx_.child_active[edge]) {
         // SS+RT one-hop repair: re-install our value down the branch the
         // notice came from (the other branches kept their copies) -- unless
         // the branch was pruned, in which case the timeout was the point.
-        forward_trigger_to(child, *slot_.value());
+        forward_trigger_to(edge, *slot_.value());
       }
       break;
     default:
@@ -364,21 +338,23 @@ void TreeRelay::handle_from_downstream(const Message& msg, std::size_t child) {
 void TreeRelay::stop() {
   slot_.clear();
   reliable_up_.cancel();
-  for (ReliableSlot& slot : reliable_down_) slot.cancel();
+  for (const std::uint32_t e : children_) ctx_.reliable_down[e].cancel();
 }
 
 bool TreeRelay::armed() const noexcept {
   return slot_.armed() || reliable_up_.armed() ||
-         std::any_of(reliable_down_.begin(), reliable_down_.end(),
-                     [](const ReliableSlot& slot) { return slot.armed(); });
+         std::any_of(children_.begin(), children_.end(),
+                     [this](std::uint32_t e) {
+                       return ctx_.reliable_down[e].armed();
+                     });
 }
 
 void TreeRelay::crash() {
   const bool held = slot_.clear();
   reliable_up_.cancel();
-  for (ReliableSlot& slot : reliable_down_) slot.cancel();
+  for (const std::uint32_t e : children_) ctx_.reliable_down[e].cancel();
   crashed_ = true;
-  if (held) notify();
+  if (held) ctx_.notify();
 }
 
 void TreeRelay::recover() { crashed_ = false; }
@@ -386,12 +362,9 @@ void TreeRelay::recover() { crashed_ = false; }
 void TreeRelay::external_removal_signal() {
   if (crashed_) return;  // the detector cannot fire inside a dead process
   if (!slot_.clear()) return;
-  notify();
+  ctx_.notify();
   reliable_up_.send(Message{MessageType::kNotice, 0, next_seq_++, 0});
-  for (std::size_t c = 0; c < down_.size(); ++c) {
-    child_installed_[c] = 0;
-    reliable_down_[c].send(Message{MessageType::kTeardown, 0, next_seq_++, 0});
-  }
+  teardown_children();
 }
 
 }  // namespace sigcomp::protocols

@@ -13,6 +13,11 @@
 // downstream when a false external signal fires.  Acks aggregate up the
 // branches through per-child reliable slots.
 //
+// Nodes keep no per-child containers.  A child edge's down channel,
+// reliable slot and activity/installed flags live in the tree's per-edge
+// arrays (TreeContext, owned by protocols::Topology), and a node names its
+// children by edge id through a span of its tree's CSR child list.
+//
 // Dynamic membership (IGMP-style leaf churn): each child edge carries an
 // activity flag.  Triggers and refreshes flow only down ACTIVE edges;
 // graft_child re-activates an edge and re-installs the local copy down it,
@@ -28,7 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "core/protocol.hpp"
 #include "protocols/engine.hpp"
@@ -40,6 +45,29 @@
 
 namespace sigcomp::protocols {
 
+/// What every node of one tree shares, kept once per tree by its Topology:
+/// the simulator, the node RNG stream, the protocol's mechanisms and
+/// timers, the state-change hook, and the parent side of every edge as
+/// per-edge arrays indexed by edge id.  Edge e leads to node e + 1; only
+/// e's parent reads or writes entry e.  Nodes hold a reference, so the
+/// context must outlive them and must not move.
+struct TreeContext {
+  sim::Simulator& sim;
+  sim::Rng& rng;
+  MechanismSet mech;
+  TimerSettings timers;  ///< every node's StateSlot refers to it
+  std::function<void()> on_change;
+  MessageChannel* down = nullptr;         ///< [e]: channel parent -> child
+  ReliableSlot* reliable_down = nullptr;  ///< [e]: the parent's reliable slot
+  char* child_active = nullptr;           ///< [e]: signaling flows down e
+  char* child_installed = nullptr;        ///< [e]: state was pushed down e
+
+  /// Calls the state-change hook, if any.
+  void notify() const {
+    if (on_change) on_change();
+  }
+};
+
 /// The signaling sender at the root of the tree.  The state value changes
 /// on updates and is removed only by an explicit remove() (graceful,
 /// signaled) or stop() (silent).  Fan-out: triggers and refreshes go down
@@ -47,11 +75,9 @@ namespace sigcomp::protocols {
 /// one slow branch cannot stall another.
 class TreeSender {
  public:
-  /// `down[c]` is the channel toward child c; the vector's order defines
-  /// the child indices used by handle_from_downstream.
-  TreeSender(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-             TimerSettings timers, std::vector<MessageChannel*> down,
-             std::function<void()> on_change);
+  /// `children` lists the root's child edges in increasing order; both it
+  /// and `ctx` must outlive the sender.
+  TreeSender(TreeContext& ctx, std::span<const std::uint32_t> children);
 
   TreeSender(const TreeSender&) = delete;             ///< non-copyable
   TreeSender& operator=(const TreeSender&) = delete;  ///< non-copyable
@@ -68,27 +94,22 @@ class TreeSender {
   /// downstream copies are left to their soft-state timeouts.
   void remove();
 
-  /// Message arriving from child `child` (ACKs, notices).
-  void handle_from_downstream(const Message& msg, std::size_t child = 0);
+  /// Message arriving up child edge `edge` (ACKs, notices).
+  void handle_from_downstream(const Message& msg, std::size_t edge = 0);
 
-  /// Re-activates child edge `c` (a leaf joined somewhere below it) and
+  /// Re-activates child edge `e` (a leaf joined somewhere below it) and
   /// re-installs the current value down it if one is held.
-  void graft_child(std::size_t c);
+  void graft_child(std::size_t e);
 
-  /// Deactivates child edge `c` (the last leaf below it left) using the
+  /// Deactivates child edge `e` (the last leaf below it left) using the
   /// protocol's removal semantics: a best-effort or reliable removal where
   /// the mechanisms provide one, nothing (timeout prune) otherwise.
-  void prune_child(std::size_t c);
+  void prune_child(std::size_t e);
 
-  /// Deactivates child edge `c` without signaling anything (used for the
+  /// Deactivates child edge `e` without signaling anything (used for the
   /// deeper edges of a pruned path -- the removal, if any, arrives via the
   /// propagation from the prune point).
-  void deactivate_child(std::size_t c);
-
-  /// True when signaling flows down child edge `c`.
-  [[nodiscard]] bool child_active(std::size_t c) const {
-    return child_active_[c] != 0;
-  }
+  void deactivate_child(std::size_t e);
 
   /// Silently ends the session: clears state and cancels every pending
   /// timer WITHOUT signaling anything.  Used by the session farm when a
@@ -104,24 +125,16 @@ class TreeSender {
     return slot_.value();
   }
   /// Number of child edges.
-  [[nodiscard]] std::size_t fanout() const noexcept { return down_.size(); }
+  [[nodiscard]] std::size_t fanout() const noexcept { return children_.size(); }
 
  private:
   void send_trigger();
-  void send_trigger_to(std::size_t c);
-  void send_removal_to(std::size_t c, std::uint64_t seq);
+  void send_trigger_to(std::size_t e);
+  void send_removal_to(std::size_t e, std::uint64_t seq);
   void arm_refresh();
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  MechanismSet mech_;
-  TimerSettings timers_;  ///< slot_ refers to it: declared before slot_
-  std::vector<MessageChannel*> down_;
-  std::function<void()> on_change_;
-  std::vector<ReliableSlot> reliable_down_;  ///< one per child, fixed size
-  std::vector<char> child_active_;     ///< signaling flows down edge c
-  std::vector<char> child_installed_;  ///< state was pushed down edge c
-
+  TreeContext& ctx_;
+  std::span<const std::uint32_t> children_;
   StateSlot slot_;  ///< the authoritative root copy (never armed)
   std::uint64_t next_seq_ = 1;
   std::uint64_t trigger_seq_ = 0;
@@ -132,13 +145,11 @@ class TreeSender {
 /// signaling down its child edges; a leaf (no children) is a receiver.
 class TreeRelay {
  public:
-  /// `up` sends toward the parent; `down[c]` toward child c (empty for a
-  /// leaf).  The vector's order defines the child indices used by
-  /// handle_from_downstream.
-  TreeRelay(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-            TimerSettings timers, MessageChannel* up,
-            std::vector<MessageChannel*> down,
-            std::function<void()> on_change);
+  /// `up` sends toward the parent; `children` lists the relay's child
+  /// edges in increasing order (empty for a leaf).  `ctx`, `up` and the
+  /// span must outlive the relay.
+  TreeRelay(TreeContext& ctx, MessageChannel& up,
+            std::span<const std::uint32_t> children);
 
   TreeRelay(const TreeRelay&) = delete;             ///< non-copyable
   TreeRelay& operator=(const TreeRelay&) = delete;  ///< non-copyable
@@ -147,29 +158,24 @@ class TreeRelay {
   /// teardowns).
   void handle_from_upstream(const Message& msg);
 
-  /// Message arriving from child `child` (ACKs, notices).
-  void handle_from_downstream(const Message& msg, std::size_t child = 0);
+  /// Message arriving up child edge `edge` (ACKs, notices).
+  void handle_from_downstream(const Message& msg, std::size_t edge = 0);
 
   /// HS external failure detector fired (falsely) at this node: remove
   /// state, notify upstream (toward the sender) and tear down every branch
   /// below.
   void external_removal_signal();
 
-  /// Re-activates child edge `c` and re-installs the locally cached value
+  /// Re-activates child edge `e` and re-installs the locally cached value
   /// down it if one is held (see TreeSender::graft_child).
-  void graft_child(std::size_t c);
+  void graft_child(std::size_t e);
 
-  /// Deactivates child edge `c` with the protocol's removal semantics
+  /// Deactivates child edge `e` with the protocol's removal semantics
   /// (see TreeSender::prune_child).
-  void prune_child(std::size_t c);
+  void prune_child(std::size_t e);
 
-  /// Deactivates child edge `c` silently (see TreeSender::deactivate_child).
-  void deactivate_child(std::size_t c);
-
-  /// True when signaling flows down child edge `c`.
-  [[nodiscard]] bool child_active(std::size_t c) const {
-    return child_active_[c] != 0;
-  }
+  /// Deactivates child edge `e` silently (see TreeSender::deactivate_child).
+  void deactivate_child(std::size_t e);
 
   /// Silently ends the session (see TreeSender::stop).
   void stop();
@@ -203,28 +209,20 @@ class TreeRelay {
     return slot_.timeouts();
   }
   /// Number of child edges (0 = this relay is a receiver).
-  [[nodiscard]] std::size_t fanout() const noexcept { return down_.size(); }
+  [[nodiscard]] std::size_t fanout() const noexcept { return children_.size(); }
 
  private:
   void on_expire();
   void forward_trigger(std::int64_t value);
-  void forward_trigger_to(std::size_t child, std::int64_t value);
-  void send_removal_to(std::size_t c, std::uint64_t seq);
+  void forward_trigger_to(std::size_t e, std::int64_t value);
+  void send_removal_to(std::size_t e, std::uint64_t seq);
   void forward_removal();
-  void notify();
+  void teardown_children();
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  MechanismSet mech_;
-  TimerSettings timers_;  ///< slot_ refers to it: declared before slot_
+  TreeContext& ctx_;
   MessageChannel* up_;
-  std::vector<MessageChannel*> down_;  ///< empty for a leaf
-  std::function<void()> on_change_;
-  std::vector<ReliableSlot> reliable_down_;  ///< one per child, fixed size
+  std::span<const std::uint32_t> children_;  ///< empty for a leaf
   ReliableSlot reliable_up_;
-  std::vector<char> child_active_;     ///< signaling flows down edge c
-  std::vector<char> child_installed_;  ///< state was pushed down edge c
-
   StateSlot slot_;  ///< the held copy plus its soft-state timeout
   std::uint64_t next_seq_ = 1;
   std::uint64_t removal_seq_seen_ = 0;  ///< dedup of retransmitted removals

@@ -3,13 +3,24 @@
 // sinks connected, and optional per-edge tracing.  Built by one place,
 // protocols::TreeSessionCore (protocols/tree_session.hpp), which both the
 // tree harness and the session farm run.
+//
+// Layout.  What a run's trees share -- the TreeSpec, its child lists in CSR
+// form and each edge's channel configuration -- is a TreeShape, built once
+// per run.  Each Topology then makes one heap block holding its sender,
+// relays and channels and its per-edge arrays (reliable slots, activity
+// and installed flags) and per-node membership counts, all sized once from
+// the shape, plus one TreeContext every node refers to.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "analytic/tree_paths.hpp"
 #include "core/protocol.hpp"
 #include "core/topology.hpp"
 #include "protocols/engine.hpp"
@@ -21,39 +32,96 @@
 
 namespace sigcomp::protocols {
 
+/// What every tree of one run derives from its parameters alone, built
+/// once and shared by each Topology built on it: the TreeSpec, node n's
+/// child edges in increasing edge order (CSR), and edge e's loss and delay
+/// configuration, used by both of its directions.
+class TreeShape {
+ public:
+  /// `edge_loss` and `edge_delay` must have exactly spec.edges() entries,
+  /// and the spec at least one edge.  Throws std::invalid_argument on an
+  /// invalid spec, mismatched vectors or an invalid delay configuration.
+  TreeShape(TreeSpec spec, std::vector<sim::LossConfig> edge_loss,
+            std::vector<sim::DelayConfig> edge_delay);
+
+  /// The shape of `params`' tree: edge e runs params.edge_loss_config(e)
+  /// and a `delay_model` delay of mean params.delay[e].  Validates params.
+  [[nodiscard]] static TreeShape of(const analytic::TreeParams& params,
+                                    sim::DelayModel delay_model,
+                                    double delay_shape);
+
+  /// The tree.
+  [[nodiscard]] const TreeSpec& spec() const noexcept { return spec_; }
+  /// Number of edges (== relays).
+  [[nodiscard]] std::size_t edges() const noexcept { return spec_.edges(); }
+  /// Node `node`'s child edges, in increasing edge order.
+  [[nodiscard]] std::span<const std::uint32_t> child_edges(
+      std::size_t node) const noexcept {
+    return {child_edges_.data() + first_child_[node],
+            first_child_[node + 1] - first_child_[node]};
+  }
+  /// Edge e's loss process.
+  [[nodiscard]] const sim::LossConfig& edge_loss(std::size_t e) const noexcept {
+    return edge_loss_[e];
+  }
+  /// Edge e's delay law.
+  [[nodiscard]] const sim::DelayConfig& edge_delay(
+      std::size_t e) const noexcept {
+    return edge_delay_[e];
+  }
+
+ private:
+  TreeSpec spec_;
+  std::vector<sim::LossConfig> edge_loss_;
+  std::vector<sim::DelayConfig> edge_delay_;
+  std::vector<std::uint32_t> first_child_;  ///< CSR offsets, nodes() + 1
+  std::vector<std::uint32_t> child_edges_;  ///< edges grouped by parent
+};
+
 /// Owns the tree's nodes and channels.  Edge e's two directions share the
 /// link's loss and delay configuration; channel trace labels are "dn<e>"
 /// (away from the root) and "up<e>" (toward the root) -- on a chain spec
 /// these coincide with the historical per-hop labels.
 class Topology {
  public:
-  /// `edge_loss` and `edge_delay` must have exactly spec.edges() entries
-  /// (and the spec at least one edge).  Both `channel_rng` and `node_rng`
-  /// must outlive the topology.  Throws std::invalid_argument on an
-  /// invalid spec or mismatched vectors.
+  /// `shape`, `channel_rng` and `node_rng` must outlive the topology.
   Topology(sim::Simulator& sim, sim::Rng& channel_rng, sim::Rng& node_rng,
            MechanismSet mech, const TimerSettings& timers,
-           const TreeSpec& spec,
-           const std::vector<sim::LossConfig>& edge_loss,
-           const std::vector<sim::DelayConfig>& edge_delay,
-           std::function<void()> on_change, sim::TraceLog* trace = nullptr);
+           const TreeShape& shape, std::function<void()> on_change,
+           sim::TraceLog* trace = nullptr)
+      : Topology(&shape, nullptr, sim, channel_rng, node_rng, mech, timers,
+                 std::move(on_change), trace) {}
+
+  /// A topology that owns its shape, TreeShape(spec, edge_loss,
+  /// edge_delay), for one-off trees; a run of many trees builds the shape
+  /// once and shares it.  Both RNGs must outlive the topology.
+  Topology(sim::Simulator& sim, sim::Rng& channel_rng, sim::Rng& node_rng,
+           MechanismSet mech, const TimerSettings& timers,
+           const TreeSpec& spec, std::vector<sim::LossConfig> edge_loss,
+           std::vector<sim::DelayConfig> edge_delay,
+           std::function<void()> on_change, sim::TraceLog* trace = nullptr)
+      : Topology(nullptr,
+                 std::make_unique<const TreeShape>(spec, std::move(edge_loss),
+                                                   std::move(edge_delay)),
+                 sim, channel_rng, node_rng, mech, timers,
+                 std::move(on_change), trace) {}
 
   Topology(const Topology&) = delete;             ///< non-copyable
   Topology& operator=(const Topology&) = delete;  ///< non-copyable
 
   /// The tree being simulated.
-  [[nodiscard]] const TreeSpec& spec() const noexcept { return spec_; }
+  [[nodiscard]] const TreeSpec& spec() const noexcept { return shape_.spec(); }
   /// Non-root nodes (== edges).
   [[nodiscard]] std::size_t relays() const noexcept { return relays_.size(); }
   /// The root node.
-  [[nodiscard]] TreeSender& sender() noexcept { return *sender_; }
+  [[nodiscard]] TreeSender& sender() noexcept { return sender_[0]; }
   /// The root node (const).
-  [[nodiscard]] const TreeSender& sender() const noexcept { return *sender_; }
+  [[nodiscard]] const TreeSender& sender() const noexcept { return sender_[0]; }
   /// Relay i holds tree node i+1 (edge i's child endpoint).
-  [[nodiscard]] TreeRelay& relay(std::size_t i) { return *relays_[i]; }
+  [[nodiscard]] TreeRelay& relay(std::size_t i) { return relays_[i]; }
   /// Relay i (const).
   [[nodiscard]] const TreeRelay& relay(std::size_t i) const {
-    return *relays_[i];
+    return relays_[i];
   }
 
   // --- Dynamic leaf membership (IGMP-style churn) ---------------------
@@ -139,20 +207,59 @@ class Topology {
   [[nodiscard]] bool quiescent() const noexcept;
 
  private:
+  /// A run of T constructed in place in the block, destroyed in reverse
+  /// order; a throw part-way through destroys only what was built.
+  template <typename T>
+  class Placed {
+   public:
+    Placed() = default;
+    Placed(const Placed&) = delete;
+    Placed& operator=(const Placed&) = delete;
+    ~Placed() {
+      while (size_ > 0) data_[--size_].~T();
+    }
+    /// Builds `n` objects at `at`, the i-th by `make(void* where, i)`.
+    template <typename Make>
+    void build(std::byte* at, std::size_t n, Make make) {
+      static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+      data_ = reinterpret_cast<T*>(at);
+      for (; size_ < n; ++size_) make(static_cast<void*>(data_ + size_), size_);
+    }
+    [[nodiscard]] T& operator[](std::size_t i) const noexcept {
+      return data_[i];
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    T* data_ = nullptr;
+    std::size_t size_ = 0;
+  };
+
+  /// Builds on `borrowed` when it is non-null, on `owned` otherwise.
+  Topology(const TreeShape* borrowed, std::unique_ptr<const TreeShape> owned,
+           sim::Simulator& sim, sim::Rng& channel_rng, sim::Rng& node_rng,
+           MechanismSet mech, const TimerSettings& timers,
+           std::function<void()> on_change, sim::TraceLog* trace);
+
   /// Routes graft/prune/deactivate calls to edge e's parent node (the
   /// sender for root children, a relay otherwise).
   void graft_edge(std::size_t e);
   void prune_edge_at(std::size_t e);
   void deactivate_edge(std::size_t e);
+  /// A message that came up edge e, handed to e's parent.
+  void deliver_up(std::size_t e, const Message& msg);
 
-  TreeSpec spec_;
-  std::vector<std::unique_ptr<MessageChannel>> down_;  ///< e: parent -> child
-  std::vector<std::unique_ptr<MessageChannel>> up_;    ///< e: child -> parent
-  std::unique_ptr<TreeSender> sender_;
-  std::vector<std::unique_ptr<TreeRelay>> relays_;
-  std::vector<std::size_t> child_index_;   ///< e's slot in its parent's list
-  std::vector<std::size_t> active_below_;  ///< joined leaves per subtree
-  std::vector<char> leaf_joined_;          ///< per node; nonzero for joined leaves
+  std::unique_ptr<const TreeShape> owned_shape_;  ///< null when borrowed
+  const TreeShape& shape_;
+  TreeContext ctx_;
+  std::unique_ptr<std::byte[]> block_;  ///< everything below lives in it
+  Placed<MessageChannel> down_;         ///< e: parent -> child
+  Placed<MessageChannel> up_;           ///< e: child -> parent
+  Placed<ReliableSlot> reliable_down_;  ///< e: the parent's reliable slot
+  Placed<TreeSender> sender_;           ///< exactly one
+  Placed<TreeRelay> relays_;            ///< relay i is node i + 1
+  std::uint32_t* active_below_ = nullptr;  ///< per node: joined leaves below
+  char* leaf_joined_ = nullptr;  ///< per node; nonzero for joined leaves
   std::size_t active_leaves_ = 0;
 };
 

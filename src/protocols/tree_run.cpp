@@ -25,6 +25,8 @@ TreeSimResult run_tree(ProtocolKind kind, const analytic::TreeParams& params,
                                 std::string(to_string(kind)));
   }
   options.scenario.validate();
+  const TreeShape shape =
+      TreeShape::of(params, options.delay_model, options.delay_shape);
   sim::Simulator sim(options.event_queue);
   TreeSessionRngs rngs{sim::Rng(options.seed, rng::kTreeChannel),
                        sim::Rng(options.seed, rng::kTreeNodes),
@@ -64,11 +66,11 @@ TreeSimResult run_tree(ProtocolKind kind, const analytic::TreeParams& params,
       paths[p].set(now, path_ok ? 0.0 : 1.0);
     }
   };
-  core.emplace(sim, kind, params,
+  core.emplace(sim, kind, params, shape,
                TimerSettings{options.timer_dist, params.refresh_timer,
                              params.timeout_timer, params.retrans_timer},
-               options.delay_model, options.delay_shape, options.churn,
-               options.scenario, rngs, on_change, options.trace);
+               options.churn, options.scenario, rngs, on_change,
+               options.trace);
   core->start();
   sim.run_until(options.duration);
   core->stop();

@@ -1,28 +1,23 @@
 #include "protocols/tree_session.hpp"
 
+#include <stdexcept>
+
 namespace sigcomp::protocols {
 
 TreeSessionCore::TreeSessionCore(
     sim::Simulator& sim, ProtocolKind kind, const analytic::TreeParams& params,
-    const TimerSettings& timers, sim::DelayModel delay_model,
-    double delay_shape, const ChurnOptions& churn,
-    const ScenarioOptions& scenario, TreeSessionRngs& rngs,
-    const std::function<void()>& on_change, sim::TraceLog* trace)
+    const TreeShape& shape, const TimerSettings& timers,
+    const ChurnOptions& churn, const ScenarioOptions& scenario,
+    TreeSessionRngs& rngs, const std::function<void()>& on_change,
+    sim::TraceLog* trace)
     : sim_(sim), params_(params), rngs_(rngs) {
-  const MechanismSet mech = mechanisms(kind);
-  // Edge e's two directions share its loss and delay.
-  std::vector<sim::LossConfig> edge_loss;
-  std::vector<sim::DelayConfig> edge_delay;
-  edge_loss.reserve(params.edges());
-  edge_delay.reserve(params.edges());
-  for (std::size_t e = 0; e < params.edges(); ++e) {
-    edge_loss.push_back(params.edge_loss_config(e));
-    edge_delay.push_back(
-        sim::DelayConfig{delay_model, params.delay[e], delay_shape});
+  if (shape.edges() != params.edges()) {
+    throw std::invalid_argument(
+        "TreeSessionCore: the shape is not the parameters' tree");
   }
+  const MechanismSet mech = mechanisms(kind);
   topology_ = std::make_unique<Topology>(sim, rngs.channel, rngs.nodes, mech,
-                                         timers, params.tree, edge_loss,
-                                         edge_delay, on_change, trace);
+                                         timers, shape, on_change, trace);
   if (owns_membership(churn, scenario)) {
     // Its own streams only: a churn-free run replays the static tree and
     // an unmodulated one the iid-churn trace, bit for bit.

@@ -18,7 +18,6 @@
 #include "protocols/scenario.hpp"
 #include "protocols/state_slot.hpp"
 #include "protocols/topology.hpp"
-#include "sim/channel_process.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
@@ -41,14 +40,14 @@ struct TreeSessionRngs {
 /// start().
 class TreeSessionCore {
  public:
-  /// Builds the Topology (edge e: params' loss and a `delay_model` delay of
-  /// mean params.delay[e]), then the MembershipController and the
-  /// RelayFailureProcess when enabled.  Both call `on_change` on every
-  /// state change.  `params`, `rngs` and `trace` must outlive the core.
+  /// Builds the Topology on `shape`, which must be
+  /// TreeShape::of(params, ...), then the MembershipController and the
+  /// RelayFailureProcess when enabled.  All three call `on_change` on every
+  /// state change.  `params`, `shape`, `rngs` and `trace` must outlive the
+  /// core.
   TreeSessionCore(sim::Simulator& sim, ProtocolKind kind,
-                  const analytic::TreeParams& params,
-                  const TimerSettings& timers, sim::DelayModel delay_model,
-                  double delay_shape, const ChurnOptions& churn,
+                  const analytic::TreeParams& params, const TreeShape& shape,
+                  const TimerSettings& timers, const ChurnOptions& churn,
                   const ScenarioOptions& scenario, TreeSessionRngs& rngs,
                   const std::function<void()>& on_change,
                   sim::TraceLog* trace = nullptr);

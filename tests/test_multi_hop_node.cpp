@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -85,22 +87,50 @@ TEST(ReliableSlot, CancelDropsOutstanding) {
   EXPECT_EQ(f.channel.counters().sent, 1u);
 }
 
+/// The timers every chain-node fixture runs: deterministic, R = 5, T = 15,
+/// retransmission after 0.5.
+TimerSettings chain_timers() {
+  TimerSettings timers;
+  timers.dist = sim::Distribution::kDeterministic;
+  timers.refresh = 5.0;
+  timers.timeout = 15.0;
+  timers.retrans = 0.5;
+  return timers;
+}
+
+/// The one child edge of a chain node: edge 0 of its context's arrays.
+constexpr std::uint32_t kOnlyChild[] = {0};
+
+/// A tree context whose single edge runs down `down`: the per-edge arrays
+/// a Topology would own, for one node with at most one child.
+struct OneEdge {
+  OneEdge(sim::Simulator& sim, sim::Rng& rng, ProtocolKind kind,
+          MessageChannel& down)
+      : ctx{sim, rng, mechanisms(kind), chain_timers(), nullptr},
+        reliable(sim, rng, ctx.timers.dist, ctx.timers.retrans, &down) {
+    ctx.down = &down;
+    ctx.reliable_down = &reliable;
+    ctx.child_active = &active;
+    ctx.child_installed = &installed;
+  }
+
+  TreeContext ctx;
+  ReliableSlot reliable;
+  char active = 1;
+  char installed = 0;
+};
+
 /// A relay with captured up/down channels.
 struct RelayFixture {
   explicit RelayFixture(ProtocolKind kind, bool is_last = false)
       : rng(9),
         up(sim, rng, 0.0, 0.01, sim::Distribution::kDeterministic, up_capture.sink()),
         down(sim, rng, 0.0, 0.01, sim::Distribution::kDeterministic,
-             down_capture.sink()) {
-    TimerSettings timers;
-    timers.dist = sim::Distribution::kDeterministic;
-    timers.refresh = 5.0;
-    timers.timeout = 15.0;
-    timers.retrans = 0.5;
-    std::vector<MessageChannel*> children;
-    if (!is_last) children.push_back(&down);
-    relay = std::make_unique<TreeRelay>(sim, rng, mechanisms(kind), timers,
-                                        &up, std::move(children), nullptr);
+             down_capture.sink()),
+        edge(sim, rng, kind, down) {
+    std::span<const std::uint32_t> children;
+    if (!is_last) children = kOnlyChild;
+    relay = std::make_unique<TreeRelay>(edge.ctx, up, children);
   }
 
   sim::Simulator sim;
@@ -109,6 +139,7 @@ struct RelayFixture {
   Capture down_capture;
   MessageChannel up;
   MessageChannel down;
+  OneEdge edge;
   std::unique_ptr<TreeRelay> relay;
 };
 
@@ -218,21 +249,15 @@ struct SenderFixture {
   explicit SenderFixture(ProtocolKind kind)
       : rng(13),
         down(sim, rng, 0.0, 0.01, sim::Distribution::kDeterministic,
-             capture.sink()) {
-    TimerSettings timers;
-    timers.dist = sim::Distribution::kDeterministic;
-    timers.refresh = 5.0;
-    timers.timeout = 15.0;
-    timers.retrans = 0.5;
-    sender = std::make_unique<TreeSender>(
-        sim, rng, mechanisms(kind), timers,
-        std::vector<MessageChannel*>{&down}, nullptr);
-  }
+             capture.sink()),
+        edge(sim, rng, kind, down),
+        sender(std::make_unique<TreeSender>(edge.ctx, kOnlyChild)) {}
 
   sim::Simulator sim;
   sim::Rng rng;
   Capture capture;
   MessageChannel down;
+  OneEdge edge;
   std::unique_ptr<TreeSender> sender;
 };
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analytic/hetero_multi_hop.hpp"
@@ -330,6 +331,38 @@ TEST(TopologyTeardown, QuiescentWaitsForDeliveriesAndTimers) {
     }
     sim.run();
     EXPECT_TRUE(sim.idle());
+    EXPECT_TRUE(topology.quiescent());
+  }
+}
+
+TEST(TopologyTeardown, QuiescentWaitsForEveryPerEdgeRetransmission) {
+  // Each edge's reliable slot lives in the topology's per-edge array, and
+  // quiescent() must see every one of them.  Under HS nothing else stays
+  // armed once the trigger flood is acknowledged, so black-holing one edge
+  // leaves exactly its parent's retransmission timer pending, with every
+  // channel drained (a lost message is drained the moment it is sent).
+  const TreeSpec spec = TreeSpec::balanced(2, 2);
+  for (std::size_t lossy = 0; lossy < spec.edges(); ++lossy) {
+    SCOPED_TRACE("black-holed edge " + std::to_string(lossy));
+    sim::Simulator sim;
+    sim::Rng channel_rng(34, 0);
+    sim::Rng node_rng(34, 1);
+    std::vector<sim::LossConfig> loss(spec.edges(), sim::LossConfig::iid(0.0));
+    loss[lossy] = sim::LossConfig::iid(1.0);
+    const std::vector<sim::DelayConfig> delay(
+        spec.edges(),
+        sim::DelayConfig{sim::DelayModel::kDeterministic, 0.03, 1.5});
+    protocols::Topology topology(sim, channel_rng, node_rng,
+                                 mechanisms(ProtocolKind::kHS),
+                                 protocols::TimerSettings{}, spec, loss, delay,
+                                 nullptr);
+    topology.sender().start(1);
+    sim.run_until(1.0);
+    const std::size_t parent = spec.parent[lossy];
+    EXPECT_TRUE(parent == 0 ? topology.sender().armed()
+                            : topology.relay(parent - 1).armed());
+    EXPECT_FALSE(topology.quiescent());
+    topology.stop();
     EXPECT_TRUE(topology.quiescent());
   }
 }
