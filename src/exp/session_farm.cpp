@@ -82,6 +82,20 @@
 
 namespace sigcomp::exp {
 
+FarmCounters& FarmCounters::operator+=(const FarmCounters& other) noexcept {
+  messages += other.messages;
+  events_executed += other.events_executed;
+  receiver_timeouts += other.receiver_timeouts;
+  relay_crashes += other.relay_crashes;
+  relay_recoveries += other.relay_recoveries;
+  teardown_messages += other.teardown_messages;
+  relay_installs += other.relay_installs;
+  relay_refreshes += other.relay_refreshes;
+  relay_soft_timeouts += other.relay_soft_timeouts;
+  fabric_dropped += other.fabric_dropped;
+  return *this;
+}
+
 namespace {
 
 using protocols::MessageChannel;
@@ -218,8 +232,10 @@ struct FarmStore {
 /// Completion-time recording replaces the reference farm's
 /// read-the-session-at-shard-end extraction: recycled sessions are
 /// destroyed long before the shard finishes, so everything a session will
-/// ever report is captured the moment it completes.
-struct ShardSink {
+/// ever report is captured the moment it completes.  Sessions and the
+/// shard add to the inherited counters, except events_executed, which
+/// outcome_of reads from the shard's simulator.
+struct ShardSink : FarmCounters {
   ShardSink(FarmStore& store, std::size_t first, std::size_t count)
       : metrics(std::span(store.metrics).subspan(first, count)),
         arrival(std::span(store.arrival).subspan(first, count)),
@@ -236,14 +252,6 @@ struct ShardSink {
   std::span<double> arrival;
   std::span<double> end;
   std::span<protocols::ChurnReport> churn;  ///< empty without membership
-  std::uint64_t messages = 0;
-  std::uint64_t receiver_timeouts = 0;
-  std::uint64_t relay_crashes = 0;
-  std::uint64_t relay_recoveries = 0;
-  std::uint64_t teardown_messages = 0;  ///< explicit-teardown traffic (trees)
-  std::uint64_t relay_installs = 0;     ///< hub installs (relay shards)
-  std::uint64_t relay_refreshes = 0;    ///< hub refreshes (relay shards)
-  std::uint64_t relay_soft_timeouts = 0;  ///< hub slot expiries
   std::size_t sessions;  ///< the shard's session count
   std::size_t completed = 0;
   /// Hands a completed session's slot to the arena's cooling list.  Bound
@@ -706,19 +714,11 @@ static_assert(sizeof(protocols::TreeRelay) <= 264,
               "TreeRelay grew: measure it before raising the bound");
 #endif
 
-/// The counters one shard reports back to the aggregator (its per-session
-/// results are already in place in the farm store).
+/// What one shard reports back to the aggregator (its per-session results
+/// are already in place in the farm store): its summed counters plus the
+/// high-water marks the reduce takes the maximum of.
 struct ShardOutcome {
-  std::uint64_t messages = 0;
-  std::uint64_t events = 0;
-  std::uint64_t receiver_timeouts = 0;
-  std::uint64_t relay_crashes = 0;
-  std::uint64_t relay_recoveries = 0;
-  std::uint64_t teardown_messages = 0;
-  std::uint64_t fabric_dropped = 0;
-  std::uint64_t relay_installs = 0;
-  std::uint64_t relay_refreshes = 0;
-  std::uint64_t relay_soft_timeouts = 0;
+  FarmCounters counters;
   double end_time = 0.0;
   std::size_t arena_high_water = 0;
   std::size_t arena_chunks = 0;
@@ -730,15 +730,8 @@ struct ShardOutcome {
 /// fabric shard types).
 ShardOutcome outcome_of(const ShardSink& sink, const sim::Simulator& sim) {
   ShardOutcome out;
-  out.messages = sink.messages;
-  out.receiver_timeouts = sink.receiver_timeouts;
-  out.relay_crashes = sink.relay_crashes;
-  out.relay_recoveries = sink.relay_recoveries;
-  out.teardown_messages = sink.teardown_messages;
-  out.relay_installs = sink.relay_installs;
-  out.relay_refreshes = sink.relay_refreshes;
-  out.relay_soft_timeouts = sink.relay_soft_timeouts;
-  out.events = sim.events_executed();
+  out.counters = sink;
+  out.counters.events_executed = sim.events_executed();
   out.end_time = sim.now();
   out.queue_slots = sim.slot_capacity();
   return out;
@@ -755,16 +748,7 @@ SessionFarmResult aggregate_outcomes(const std::vector<ShardOutcome>& outcomes,
   SessionFarmResult result;
   result.shards = outcomes.size();
   for (const ShardOutcome& outcome : outcomes) {
-    result.messages += outcome.messages;
-    result.events_executed += outcome.events;
-    result.receiver_timeouts += outcome.receiver_timeouts;
-    result.relay_crashes += outcome.relay_crashes;
-    result.relay_recoveries += outcome.relay_recoveries;
-    result.teardown_messages += outcome.teardown_messages;
-    result.fabric_dropped += outcome.fabric_dropped;
-    result.relay_installs += outcome.relay_installs;
-    result.relay_refreshes += outcome.relay_refreshes;
-    result.relay_soft_timeouts += outcome.relay_soft_timeouts;
+    result += outcome.counters;
     result.horizon = std::max(result.horizon, outcome.end_time);
     result.arena_slot_high_water =
         std::max(result.arena_slot_high_water, outcome.arena_high_water);
@@ -1088,7 +1072,6 @@ class SubscriberFabricShard final : public FabricShardBase {
 
   ShardOutcome finish() override {
     ShardOutcome out = fabric_outcome(sink_);
-    out.fabric_dropped = dropped_;
     out.arena_high_water = arena_.slot_capacity();
     out.arena_chunks = arena_.chunk_allocations();
     return out;
@@ -1117,7 +1100,7 @@ class SubscriberFabricShard final : public FabricShardBase {
     const auto local = static_cast<std::size_t>(entry.dest) - first_;
     SingleHopSession* endpoint = endpoints_[local];
     if (endpoint == nullptr) {
-      ++dropped_;
+      ++sink_.fabric_dropped;
       return;
     }
     endpoint->deliver_fabric(entry.message);
@@ -1136,7 +1119,6 @@ class SubscriberFabricShard final : public FabricShardBase {
   /// Live fabric endpoints by local index (nullptr = not participating or
   /// already completed).
   std::vector<SingleHopSession*> endpoints_;
-  std::uint64_t dropped_ = 0;
 };
 
 /// One shared relay session: a SharedRelayHub plus its fabric identity and
@@ -1225,11 +1207,10 @@ class RelayFabricShard final : public FabricShardBase {
   [[nodiscard]] bool complete() const override { return sink_.complete(); }
 
   ShardOutcome finish() override {
-    ShardOutcome out = fabric_outcome(sink_);
     for (const RelaySession& relay : relays_) {
-      out.fabric_dropped += relay.hub().unknown_dropped();
+      sink_.fabric_dropped += relay.hub().unknown_dropped();
     }
-    return out;
+    return fabric_outcome(sink_);
   }
 
  private:

@@ -115,16 +115,44 @@ struct SessionFarmOptions {
   bool teardown = false;
 };
 
-/// Aggregate outcome of a farm run.
-struct SessionFarmResult {
+/// The counters a farm run sums over its shards: each shard keeps one set,
+/// and the reduce adds them up in shard order.
+struct FarmCounters {
+  std::uint64_t messages = 0;  ///< signaling messages across all sessions
+  std::uint64_t events_executed = 0;  ///< simulator events across all shards
+  std::uint64_t receiver_timeouts = 0;  ///< soft-state timeout expirations
+  /// Interior-relay crashes across all sessions (0 without a failure
+  /// scenario).
+  std::uint64_t relay_crashes = 0;
+  /// Completed relay recoveries across all sessions.
+  std::uint64_t relay_recoveries = 0;
+  /// Messages attributable to explicit session teardown (tree/chain farms
+  /// with SessionFarmOptions::teardown; 0 otherwise): everything sent
+  /// between the window-end remove() and the end of the grace period.
+  std::uint64_t teardown_messages = 0;
+  /// Installs accepted across every relay hub (first installs plus
+  /// re-installs after a soft-state expiry).
+  std::uint64_t relay_installs = 0;
+  /// Subscriber refreshes accepted across every relay hub.
+  std::uint64_t relay_refreshes = 0;
+  /// Soft-state expirations across every relay hub's subscriber slots.
+  std::uint64_t relay_soft_timeouts = 0;
+  /// Fabric deliveries dropped at the destination (the session had already
+  /// completed, or the hub rejected the source).  Deterministic: drop
+  /// decisions depend only on the decomposition-invariant epoch timeline.
+  std::uint64_t fabric_dropped = 0;
+
+  FarmCounters& operator+=(const FarmCounters& other) noexcept;
+};
+
+/// Aggregate outcome of a farm run: the summed FarmCounters plus what the
+/// reduce derives from the per-session results.
+struct SessionFarmResult : FarmCounters {
   /// Per-session metrics summarized as mean/stddev/95%-CI ("replications"
   /// = completed sessions).
   MetricsSummary summary;
   std::size_t sessions = 0;  ///< completed sessions (== options.sessions)
   std::size_t shards = 0;
-  std::uint64_t messages = 0;  ///< signaling messages across all sessions
-  std::uint64_t events_executed = 0;  ///< simulator events across all shards
-  std::uint64_t receiver_timeouts = 0;  ///< soft-state timeout expirations
   /// Latest session end time across shards (the simulated horizon).
   double horizon = 0.0;
   /// Peak number of sessions simultaneously in flight -- EXACT at any shard
@@ -135,11 +163,6 @@ struct SessionFarmResult {
   /// Leaf-churn outcome summed across sessions in global session order
   /// (all-zero when churn is disabled).
   protocols::ChurnReport churn;
-  /// Interior-relay crashes across all sessions (0 without a failure
-  /// scenario).
-  std::uint64_t relay_crashes = 0;
-  /// Completed relay recoveries across all sessions.
-  std::uint64_t relay_recoveries = 0;
   /// Every session's metrics in global session order; filled only when
   /// SessionFarmOptions::keep_per_session is set (empty otherwise).
   std::vector<Metrics> per_session;
@@ -166,10 +189,6 @@ struct SessionFarmResult {
   /// Messages carried by the cross-shard ring fabric (every stamped entry
   /// pushed by clients and hubs; 0 without shared relays).
   std::uint64_t fabric_messages = 0;
-  /// Fabric deliveries dropped at the destination (the session had already
-  /// completed, or the hub rejected the source).  Deterministic: drop
-  /// decisions depend only on the decomposition-invariant epoch timeline.
-  std::uint64_t fabric_dropped = 0;
   /// ShardRings materialized (directed shard pairs that carry traffic).
   std::size_t fabric_rings = 0;
   /// Epochs executed by the fabric's lockstep worker loop.
@@ -179,17 +198,6 @@ struct SessionFarmResult {
   /// destination shard, so it depends on shard_size, but it is identical
   /// across thread counts.  0 without shared relays.
   std::size_t fabric_ring_high_water = 0;
-  /// Installs accepted across every relay hub (first installs plus
-  /// re-installs after a soft-state expiry).
-  std::uint64_t relay_installs = 0;
-  /// Subscriber refreshes accepted across every relay hub.
-  std::uint64_t relay_refreshes = 0;
-  /// Soft-state expirations across every relay hub's subscriber slots.
-  std::uint64_t relay_soft_timeouts = 0;
-  /// Messages attributable to explicit session teardown (tree/chain farms
-  /// with SessionFarmOptions::teardown; 0 otherwise): everything sent
-  /// between the window-end remove() and the end of the grace period.
-  std::uint64_t teardown_messages = 0;
 };
 
 /// Runs N single-hop sessions of `kind`.  `params.removal_rate` is ignored

@@ -104,31 +104,37 @@ TEST(ParallelSweep, AnalyticGridIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelSweep, SimulatedGridIsBitIdenticalAcrossThreadCounts) {
-  const std::vector<SingleHopParams> grid = loss_grid(3);
+  // More grid points than the widest pool, so every thread count splits the
+  // grid unevenly; SS+RT adds the retransmission timers to the event mix.
+  const std::vector<SingleHopParams> grid = loss_grid(16);
   SimGridOptions options;
   options.sim.sessions = 40;
   options.sim.seed = 11;
   options.replications = 4;
 
-  options.threads = 1;
-  const auto serial = evaluate_grid_simulated(ProtocolKind::kSS, grid, options);
-  ASSERT_EQ(serial.size(), grid.size());
+  for (const ProtocolKind kind : {ProtocolKind::kSS, ProtocolKind::kSSRT}) {
+    options.threads = 1;
+    const auto serial = evaluate_grid_simulated(kind, grid, options);
+    ASSERT_EQ(serial.size(), grid.size());
 
-  for (const std::size_t threads : kThreadCounts) {
-    options.threads = threads;
-    const auto parallel =
-        evaluate_grid_simulated(ProtocolKind::kSS, grid, options);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].mean.inconsistency, serial[i].mean.inconsistency);
-      EXPECT_EQ(parallel[i].mean.message_rate, serial[i].mean.message_rate);
-      EXPECT_EQ(parallel[i].stddev.inconsistency,
-                serial[i].stddev.inconsistency);
-      EXPECT_EQ(parallel[i].inconsistency.half_width,
-                serial[i].inconsistency.half_width);
-      EXPECT_EQ(parallel[i].mean.breakdown.refresh,
-                serial[i].mean.breakdown.refresh);
-      EXPECT_EQ(parallel[i].replications, options.replications);
+    for (const std::size_t threads : {2, 4, 8}) {
+      options.threads = threads;
+      const auto parallel = evaluate_grid_simulated(kind, grid, options);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(parallel[i].mean.inconsistency,
+                  serial[i].mean.inconsistency);
+        EXPECT_EQ(parallel[i].mean.message_rate, serial[i].mean.message_rate);
+        EXPECT_EQ(parallel[i].mean.raw_message_rate,
+                  serial[i].mean.raw_message_rate);
+        EXPECT_EQ(parallel[i].stddev.inconsistency,
+                  serial[i].stddev.inconsistency);
+        EXPECT_EQ(parallel[i].inconsistency.half_width,
+                  serial[i].inconsistency.half_width);
+        EXPECT_EQ(parallel[i].mean.breakdown.refresh,
+                  serial[i].mean.breakdown.refresh);
+        EXPECT_EQ(parallel[i].replications, options.replications);
+      }
     }
   }
 }

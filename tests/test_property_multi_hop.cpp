@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "analytic/multi_hop.hpp"
@@ -12,16 +13,20 @@ namespace {
 
 using Grid = std::tuple<ProtocolKind, std::size_t /*hops*/, double /*loss*/>;
 
+MultiHopParams grid_params(std::size_t hops, double loss) {
+  MultiHopParams p = MultiHopParams::reservation_defaults();
+  p.hops = hops;
+  p.loss = loss;
+  p.false_signal_rate = std::pow(loss, 4.0);
+  return p;
+}
+
 class MultiHopGrid : public ::testing::TestWithParam<Grid> {
  protected:
   static MultiHopParams params() {
     const auto& [kind, hops, loss] = GetParam();
     (void)kind;
-    MultiHopParams p = MultiHopParams::reservation_defaults();
-    p.hops = hops;
-    p.loss = loss;
-    p.false_signal_rate = std::pow(loss, 4.0);
-    return p;
+    return grid_params(hops, loss);
   }
   static ProtocolKind kind() { return std::get<0>(GetParam()); }
 };
@@ -69,28 +74,64 @@ TEST_P(MultiHopGrid, MessageRatesAreFiniteAndNonNegative) {
   EXPECT_GT(b.total(), 0.0);
 }
 
-TEST_P(MultiHopGrid, ReliableTriggersNeverHurtConsistency) {
-  if (kind() != ProtocolKind::kSS) GTEST_SKIP();
-  const double ss = MultiHopModel(ProtocolKind::kSS, params()).inconsistency();
-  const double ssrt = MultiHopModel(ProtocolKind::kSSRT, params()).inconsistency();
-  EXPECT_LE(ssrt, ss * (1.0 + 1e-9));
+/// Names a grid point after its protocol, its hop count and its loss.
+std::string grid_name(const Grid& point) {
+  const auto& [kind, hops, loss] = point;
+  std::string name{to_string(kind)};
+  for (char& c : name) {
+    if (c == '+') c = '_';
+  }
+  name += "_K" + std::to_string(hops);
+  name += "_loss" + std::to_string(int(loss * 1000));
+  return name;
 }
+
+constexpr std::size_t kHops[] = {1, 4, 12, 20};
+constexpr double kLosses[] = {0.005, 0.02, 0.1};
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, MultiHopGrid,
     ::testing::Combine(::testing::ValuesIn(kMultiHopProtocols),
-                       ::testing::Values(std::size_t{1}, std::size_t{4},
-                                         std::size_t{12}, std::size_t{20}),
-                       ::testing::Values(0.005, 0.02, 0.1)),
-    [](const auto& param_info) {
-      std::string name{to_string(std::get<0>(param_info.param))};
-      for (char& c : name) {
-        if (c == '+') c = '_';
-      }
-      name += "_K" + std::to_string(std::get<1>(param_info.param));
-      name += "_loss" + std::to_string(int(std::get<2>(param_info.param) * 1000));
-      return name;
-    });
+                       ::testing::ValuesIn(kHops),
+                       ::testing::ValuesIn(kLosses)),
+    [](const auto& param_info) { return grid_name(param_info.param); });
+
+// Pairing property: reliable triggers never raise a chain's inconsistency.
+// It runs only over the (SS, SS+RT) pair it compares.  A TEST_P would run on
+// every protocol of the grid above, so the pair's points are registered into
+// the Grid/MultiHopGrid suite directly, each named after SS's grid point.
+
+class TriggerPairTest : public MultiHopGrid {
+ public:
+  explicit TriggerPairTest(Grid point) : point_(point) {}
+
+  void TestBody() override {
+    const auto& [kind, hops, loss] = point_;
+    const MultiHopParams p = grid_params(hops, loss);
+    const double ss = MultiHopModel(kind, p).inconsistency();
+    const double ssrt = MultiHopModel(ProtocolKind::kSSRT, p).inconsistency();
+    EXPECT_LE(ssrt, ss * (1.0 + 1e-9));
+  }
+
+ private:
+  Grid point_;
+};
+
+bool register_trigger_pairs() {
+  for (const std::size_t hops : kHops) {
+    for (const double loss : kLosses) {
+      const Grid point{ProtocolKind::kSS, hops, loss};
+      ::testing::RegisterTest(
+          "Grid/MultiHopGrid",
+          ("ReliableTriggersNeverHurtConsistency/" + grid_name(point)).c_str(),
+          nullptr, ::testing::PrintToString(point).c_str(), __FILE__, __LINE__,
+          [point]() -> MultiHopGrid* { return new TriggerPairTest(point); });
+    }
+  }
+  return true;
+}
+
+[[maybe_unused]] const bool kTriggerPairsRegistered = register_trigger_pairs();
 
 class HopMonotonicity : public ::testing::TestWithParam<ProtocolKind> {};
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <string>
 #include <tuple>
 
 #include "analytic/single_hop.hpp"
@@ -13,15 +15,19 @@ namespace {
 using Grid = std::tuple<ProtocolKind, double /*loss*/, double /*refresh*/,
                         double /*lifetime*/>;
 
+SingleHopParams grid_params(double loss, double refresh, double lifetime) {
+  SingleHopParams p = SingleHopParams::kazaa_defaults();
+  p.loss = loss;
+  p.removal_rate = 1.0 / lifetime;
+  return p.with_refresh_scaled_timeout(refresh);
+}
+
 class SingleHopGrid : public ::testing::TestWithParam<Grid> {
  protected:
   static SingleHopParams params() {
     const auto& [kind, loss, refresh, lifetime] = GetParam();
     (void)kind;
-    SingleHopParams p = SingleHopParams::kazaa_defaults();
-    p.loss = loss;
-    p.removal_rate = 1.0 / lifetime;
-    return p.with_refresh_scaled_timeout(refresh);
+    return grid_params(loss, refresh, lifetime);
   }
   static ProtocolKind kind() { return std::get<0>(GetParam()); }
 };
@@ -83,68 +89,94 @@ TEST_P(SingleHopGrid, AbsorptionIsReachableFromEveryTransientState) {
   }
 }
 
-TEST_P(SingleHopGrid, ExplicitRemovalNeverHurtsConsistency) {
-  const SingleHopParams p = params();
-  switch (kind()) {
-    case ProtocolKind::kSS: {
-      const double base = SingleHopModel(ProtocolKind::kSS, p).inconsistency();
-      const double er = SingleHopModel(ProtocolKind::kSSER, p).inconsistency();
-      EXPECT_LE(er, base * (1.0 + 1e-9));
-      break;
-    }
-    case ProtocolKind::kSSRT: {
-      const double base = SingleHopModel(ProtocolKind::kSSRT, p).inconsistency();
-      const double er = SingleHopModel(ProtocolKind::kSSRTR, p).inconsistency();
-      EXPECT_LE(er, base * (1.0 + 1e-9));
-      break;
-    }
-    default:
-      GTEST_SKIP() << "pairing applies to SS and SS+RT only";
-  }
-}
-
-TEST_P(SingleHopGrid, ReliableTriggersNeverHurtConsistency) {
-  const SingleHopParams p = params();
-  switch (kind()) {
-    case ProtocolKind::kSS: {
-      const double base = SingleHopModel(ProtocolKind::kSS, p).inconsistency();
-      const double rt = SingleHopModel(ProtocolKind::kSSRT, p).inconsistency();
-      EXPECT_LE(rt, base * (1.0 + 1e-9));
-      break;
-    }
-    case ProtocolKind::kSSER: {
-      const double base = SingleHopModel(ProtocolKind::kSSER, p).inconsistency();
-      const double rtr = SingleHopModel(ProtocolKind::kSSRTR, p).inconsistency();
-      EXPECT_LE(rtr, base * (1.0 + 1e-9));
-      break;
-    }
-    default:
-      GTEST_SKIP() << "pairing applies to SS and SS+ER only";
-  }
-}
-
 TEST_P(SingleHopGrid, IntegratedCostIsFinite) {
   const Metrics m = SingleHopModel(kind(), params()).metrics();
   EXPECT_TRUE(std::isfinite(integrated_cost(m)));
   EXPECT_GT(integrated_cost(m), 0.0);
 }
 
+/// Names a grid point after its protocol and its loss, refresh timer and
+/// lifetime.
+std::string grid_name(const Grid& point) {
+  const auto& [kind, loss, refresh, lifetime] = point;
+  std::string name{to_string(kind)};
+  for (char& c : name) {
+    if (c == '+') c = '_';
+  }
+  name += "_loss" + std::to_string(int(loss * 100));
+  name += "_R" + std::to_string(int(refresh * 10));
+  name += "_L" + std::to_string(int(lifetime));
+  return name;
+}
+
+constexpr double kLosses[] = {0.0, 0.02, 0.1, 0.3};
+constexpr double kRefreshes[] = {0.5, 5.0, 50.0};
+constexpr double kLifetimes[] = {60.0, 1800.0, 20000.0};
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, SingleHopGrid,
     ::testing::Combine(::testing::ValuesIn(kAllProtocols),
-                       ::testing::Values(0.0, 0.02, 0.1, 0.3),
-                       ::testing::Values(0.5, 5.0, 50.0),
-                       ::testing::Values(60.0, 1800.0, 20000.0)),
-    [](const auto& param_info) {
-      std::string name{to_string(std::get<0>(param_info.param))};
-      for (char& c : name) {
-        if (c == '+') c = '_';
+                       ::testing::ValuesIn(kLosses),
+                       ::testing::ValuesIn(kRefreshes),
+                       ::testing::ValuesIn(kLifetimes)),
+    [](const auto& param_info) { return grid_name(param_info.param); });
+
+// Pairing properties: adding a mechanism to a protocol never raises its
+// inconsistency.  Each property runs only over the (base, improved) pairs it
+// compares.  A TEST_P would run on every protocol of the grid above, so the
+// pairs are registered into the Grid/SingleHopGrid suite directly, each
+// named after its base protocol's grid point.
+
+class PairingTest : public SingleHopGrid {
+ public:
+  PairingTest(Grid point, ProtocolKind improved)
+      : point_(point), improved_(improved) {}
+
+  void TestBody() override {
+    const auto& [base, loss, refresh, lifetime] = point_;
+    const SingleHopParams p = grid_params(loss, refresh, lifetime);
+    const double base_value = SingleHopModel(base, p).inconsistency();
+    const double improved = SingleHopModel(improved_, p).inconsistency();
+    EXPECT_LE(improved, base_value * (1.0 + 1e-9));
+  }
+
+ private:
+  Grid point_;
+  ProtocolKind improved_;
+};
+
+struct Pairing {
+  ProtocolKind base;
+  ProtocolKind improved;
+};
+
+bool register_pairing(const std::string& property,
+                      std::initializer_list<Pairing> pairs) {
+  for (const Pairing pair : pairs) {
+    for (const double loss : kLosses) {
+      for (const double refresh : kRefreshes) {
+        for (const double lifetime : kLifetimes) {
+          const Grid point{pair.base, loss, refresh, lifetime};
+          ::testing::RegisterTest(
+              "Grid/SingleHopGrid", (property + "/" + grid_name(point)).c_str(),
+              nullptr, ::testing::PrintToString(point).c_str(), __FILE__,
+              __LINE__, [point, pair]() -> SingleHopGrid* {
+                return new PairingTest(point, pair.improved);
+              });
+        }
       }
-      name += "_loss" + std::to_string(int(std::get<1>(param_info.param) * 100));
-      name += "_R" + std::to_string(int(std::get<2>(param_info.param) * 10));
-      name += "_L" + std::to_string(int(std::get<3>(param_info.param)));
-      return name;
-    });
+    }
+  }
+  return true;
+}
+
+[[maybe_unused]] const bool kPairingsRegistered =
+    register_pairing("ExplicitRemovalNeverHurtsConsistency",
+                     {{ProtocolKind::kSS, ProtocolKind::kSSER},
+                      {ProtocolKind::kSSRT, ProtocolKind::kSSRTR}}) &&
+    register_pairing("ReliableTriggersNeverHurtConsistency",
+                     {{ProtocolKind::kSS, ProtocolKind::kSSRT},
+                      {ProtocolKind::kSSER, ProtocolKind::kSSRTR}});
 
 // Monotonicity sweeps (separate suite so the grid above stays cheap).
 

@@ -123,7 +123,12 @@ TEST(SharedRelayFarm, RunsAndReportsFabricCounters) {
   // 24 participating subscribers: at least one install each, and every
   // install/refresh/remove crossed the fabric.
   EXPECT_GE(result.relay_installs, 24u);
+  EXPECT_GT(result.relay_refreshes, 0u);
   EXPECT_GT(result.fabric_messages, 48u);
+  // Echoes the hubs fan out after a subscriber has completed are dropped
+  // at its shard.
+  EXPECT_GT(result.fabric_dropped, 0u);
+  EXPECT_LT(result.fabric_dropped, result.fabric_messages);
   EXPECT_GT(result.fabric_rings, 0u);
   EXPECT_GT(result.fabric_epochs, 0u);
   // Relay metrics ride in the tail of per_session: relays live from t = 0,
@@ -131,6 +136,18 @@ TEST(SharedRelayFarm, RunsAndReportsFabricCounters) {
   for (std::size_t r = 48; r < 52; ++r) {
     EXPECT_GT(result.per_session[r].session_length, 20.0);
   }
+  // A hub timeout shorter than the refresh interval expires subscriber
+  // slots between refreshes.  Each expiry counts as a relay soft timeout
+  // and as a receiver timeout, and every install past a subscriber's first
+  // re-installs an expired slot.
+  SingleHopParams expiring = SingleHopParams::kazaa_defaults();
+  expiring.timeout_timer = 0.8 * expiring.refresh_timer;
+  const SessionFarmResult expired =
+      run_session_farm(ProtocolKind::kSS, expiring, options);
+  EXPECT_GT(expired.relay_soft_timeouts, 0u);
+  EXPECT_LE(expired.relay_soft_timeouts, expired.receiver_timeouts);
+  ASSERT_GE(expired.relay_installs, 24u);
+  EXPECT_GE(expired.relay_soft_timeouts, expired.relay_installs - 24u);
 }
 
 TEST(SharedRelayFarm, ElementWiseIdenticalAcrossThreadsAndShardSizes) {
