@@ -4,8 +4,8 @@
 // every double of every session's Metrics compared bitwise, not just the
 // aggregates -- across all five protocols x {single-hop, chain, tree}
 // topologies x {1, 2, 8} threads x shard sizes {7, 64, 4096}, plus a
-// churn+scenario configuration, a bursts-only one and one where HS false
-// signals fire.  This is the lock on the rewrite's core claim: arenas, slot
+// churn+scenario configuration, a bursts-only one, one where HS false
+// signals fire and one with bursty loss and heavy-tailed delays.  This is the lock on the rewrite's core claim: arenas, slot
 // recycling, sliced execution and batched expiry delivery change WHERE
 // sessions live and WHEN their events are popped, never what they compute.
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "protocols/membership.hpp"
 #include "protocols/scenario.hpp"
 #include "reference_session_farm.hpp"
+#include "sim/channel_process.hpp"
 
 namespace sigcomp::exp {
 namespace {
@@ -231,6 +232,38 @@ TEST(FarmDiff, RecyclingTreesMatchReference) {
       EXPECT_GT(result.churn.leaves, 0u);
       EXPECT_GT(result.relay_crashes, 0u);
     }
+  }
+}
+
+TEST(FarmDiff, BurstyHeavyTailLinksMatchReference) {
+  // Gilbert-Elliott loss with four-message bursts and Pareto delays on
+  // every link: the channel paths that step a per-channel chain and draw
+  // heavy-tailed latencies, single-hop and on a churning tree.  The farm's
+  // sessions read one run-wide link configuration; the reference builds
+  // each session's own copies, so a channel that shared its chain state
+  // or wrote to the run's link would diverge here.
+  SessionFarmOptions base = diff_farm();
+  base.delay_model = sim::DelayModel::kPareto;
+  base.delay_shape = 1.5;
+  {
+    SingleHopParams params = SingleHopParams::kazaa_defaults();
+    params.loss = 0.1;
+    SCOPED_TRACE("single-hop SS+RT");
+    diff_matrix_cell(ProtocolKind::kSSRT, params.with_bursty_loss(4.0), base);
+  }
+  {
+    MultiHopParams hop = diff_hop_params();
+    hop.loss = 0.1;
+    const analytic::TreeParams params =
+        analytic::TreeParams::balanced(hop.with_bursty_loss(4.0), 2, 2);
+    SessionFarmOptions options = base;
+    options.leaf_churn.leaf_lifetime = 8.0;
+    options.leaf_churn.rejoin_rate = 1.0 / 4.0;
+    SCOPED_TRACE("churning tree HS");
+    diff_matrix_cell(ProtocolKind::kHS, params, options);
+    const SessionFarmResult result =
+        run_session_farm(ProtocolKind::kHS, params, options);
+    EXPECT_GT(result.churn.leaves, 0u);
   }
 }
 
