@@ -325,6 +325,30 @@ struct RelayLink {
   protocols::RelayClient client;
 };
 
+/// A single-hop farm's run constants, shared by every shard and session,
+/// relay-free and fabric alike: the parameters and the one link both
+/// channels of every session borrow, built once per run.  Every send on
+/// every shard thread reads the link, so the run keeps cache lines of its
+/// own: a write to a neighbour in its caller's stack frame would otherwise
+/// evict it from every core (PERFORMANCE.md, "Flat trees", has the
+/// `relay` runs with and without the alignment).
+struct alignas(64) SingleHopRun {
+  SingleHopRun(const SingleHopParams& hop_params,
+               const SessionFarmOptions& options)
+      : params(hop_params),
+        link{hop_params.loss_config(),
+             sim::DelayConfig{options.delay_model, hop_params.delay,
+                              options.delay_shape}} {}
+
+  void validate() const {
+    params.validate();
+    link.validate();
+  }
+
+  const SingleHopParams& params;
+  sim::LinkConfig link;
+};
+
 /// One single-hop session: arrival -> install -> updates -> removal ->
 /// absorption, measured over [arrival, absorption].  A one-shot version of
 /// the renewal construction in protocols/single_hop_run.cpp, flattened for
@@ -336,28 +360,23 @@ struct RelayLink {
 class SingleHopSession {
  public:
   SingleHopSession(sim::Simulator& sim, ProtocolKind kind,
-                   const SingleHopParams& params,
-                   const SessionFarmOptions& options,
+                   const SingleHopRun& run, const SessionFarmOptions& options,
                    std::uint64_t global_index, ShardSink& sink,
                    std::size_t local)
       : rngs_(replica_seed(options.seed, global_index, 0)),
-        forward_(sim, rngs_.channel, params.loss_config(),
-                 sim::DelayConfig{options.delay_model, params.delay,
-                                  options.delay_shape},
+        forward_(sim, rngs_.channel, run.link,
                  [this](const Message& m) { receiver_.handle(m); }),
         sim_(sim),
         receiver_(sim, rngs_.receiver, mechanisms(kind),
-                  timer_settings(options, params), reverse_,
+                  timer_settings(options, run.params), reverse_,
                   [this] { on_change(); }),
         sender_(sim, rngs_.sender, mechanisms(kind),
-                timer_settings(options, params), forward_,
+                timer_settings(options, run.params), forward_,
                 [this] { on_change(); }),
-        reverse_(sim, rngs_.channel, params.loss_config(),
-                 sim::DelayConfig{options.delay_model, params.delay,
-                                  options.delay_shape},
+        reverse_(sim, rngs_.channel, run.link,
                  [this](const Message& m) { sender_.handle(m); }),
         mech_(mechanisms(kind)),
-        params_(params),
+        params_(run.params),
         options_(options),
         sink_(sink),
         local_(local) {
@@ -526,9 +545,10 @@ class SingleHopSession {
 // session is the farm's unit of memory -- hold-shaped farms keep tens of
 // thousands of them live, and every refresh period walks through all of
 // them -- so a field added to it should show up here, at compile time.
-// 1,296 bytes with gcc 12; PERFORMANCE.md, "What a session costs", has the
-// layout and its measured effect.
-static_assert(sizeof(SingleHopSession) <= 1320,
+// 1,168 bytes with gcc 12, its two channels borrowing the run's link;
+// PERFORMANCE.md, "What a session costs", has the layout and its measured
+// effect.
+static_assert(sizeof(SingleHopSession) <= 1192,
               "SingleHopSession grew: measure it before raising the bound");
 #endif
 
@@ -701,17 +721,26 @@ class TreeSession {
 // that recycling needs added 8.  Most of a tree lives behind the core's
 // pointers, which this does not see: its Topology and the one block
 // holding its nodes, channels and per-edge arrays, then the membership
-// and failure processes -- 15.6 kB requested in 11 blocks on tree_churn's
+// and failure processes -- 12.1 kB requested in 11 blocks on tree_churn's
 // fanout-4 depth-2 tree, which TreeFootprint.* bounds.  PERFORMANCE.md,
 // "Flat trees", has the measured per-session cost.
 static_assert(sizeof(TreeSession) <= 544,
               "TreeSession grew: measure it before raising the bound");
 // A tree's nodes, one sender and a relay per edge, all in the topology's
-// block: 160 and 256 bytes with gcc 12.
+// block: 160 and 232 bytes with gcc 12.
 static_assert(sizeof(protocols::TreeSender) <= 168,
               "TreeSender grew: measure it before raising the bound");
-static_assert(sizeof(protocols::TreeRelay) <= 264,
+static_assert(sizeof(protocols::TreeRelay) <= 240,
               "TreeRelay grew: measure it before raising the bound");
+// What every session is mostly made of: two channels per single-hop
+// session, two per tree edge and one reliable slot per tree edge.  A
+// channel borrows its link and keeps only its own state, 104 bytes; a
+// reliable slot reads the simulator, RNG and timers from its tree's
+// TreeContext, 72 bytes.
+static_assert(sizeof(protocols::MessageChannel) <= 104,
+              "MessageChannel grew: measure it before raising the bound");
+static_assert(sizeof(protocols::ReliableSlot) <= 72,
+              "ReliableSlot grew: measure it before raising the bound");
 #endif
 
 /// What one shard reports back to the aggregator (its per-session results
@@ -816,14 +845,13 @@ void schedule_arrivals(sim::Simulator& sim, const SessionFarmOptions& options,
 /// Sessions [first, first + count) of the farm: one Simulator, one arena,
 /// one sink.  Construction installs the arrival stream; a shard worker then
 /// drives advance_slice() until complete().
-template <typename Session, typename Params>
+template <typename Session, typename Run>
 class Shard {
  public:
-  Shard(ProtocolKind kind, const Params& params,
-        const SessionFarmOptions& options, FarmStore& store,
-        std::size_t first, std::size_t count)
+  Shard(ProtocolKind kind, const Run& run, const SessionFarmOptions& options,
+        FarmStore& store, std::size_t first, std::size_t count)
       : kind_(kind),
-        params_(params),
+        run_(run),
         options_(options),
         sink_(store, first, count),
         sim_(options.event_queue),
@@ -857,13 +885,13 @@ class Shard {
  private:
   void spawn(std::uint64_t global_index, std::size_t local) {
     const auto [slot, session] = arena_.spawn(
-        sim_, kind_, params_, options_, global_index, sink_, local);
+        sim_, kind_, run_, options_, global_index, sink_, local);
     session->set_slot(slot);
     session->begin();
   }
 
   ProtocolKind kind_;
-  const Params& params_;
+  const Run& run_;
   const SessionFarmOptions& options_;
   ShardSink sink_;
   sim::Simulator sim_;
@@ -874,11 +902,11 @@ class Shard {
   SessionArena<Session> arena_;
 };
 
-template <typename Session, typename Params>
-SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
+template <typename Session, typename Run>
+SessionFarmResult run_farm(ProtocolKind kind, const Run& run,
                            const SessionFarmOptions& options) {
   validate_options(options);
-  params.validate();
+  run.validate();
 
   const std::size_t n = options.sessions;
   const std::size_t shard_size = std::min(options.shard_size, n);
@@ -905,12 +933,12 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
   FarmStore store(n, with_churn);
   std::vector<ShardOutcome> outcomes(shards);
   parallel_for(engine->pool(), workers, [&](std::size_t w) {
-    std::vector<std::unique_ptr<Shard<Session, Params>>> owned;
+    std::vector<std::unique_ptr<Shard<Session, Run>>> owned;
     for (std::size_t s = w; s < shards; s += workers) {
       const std::size_t first = s * shard_size;
       const std::size_t count = std::min(shard_size, n - first);
-      owned.push_back(std::make_unique<Shard<Session, Params>>(
-          kind, params, options, store, first, count));
+      owned.push_back(std::make_unique<Shard<Session, Run>>(
+          kind, run, options, store, first, count));
     }
     bool all_done = false;
     while (!all_done) {
@@ -1046,14 +1074,14 @@ class FabricShardBase : public FabricShard {
 /// dropped deterministically.
 class SubscriberFabricShard final : public FabricShardBase {
  public:
-  SubscriberFabricShard(ProtocolKind kind, const SingleHopParams& params,
+  SubscriberFabricShard(ProtocolKind kind, const SingleHopRun& run,
                         const SessionFarmOptions& options,
                         const FabricMap& map, CrossShardFabric& fabric,
                         FarmStore& store, std::uint32_t shard_id,
                         std::size_t first, std::size_t count)
       : FabricShardBase(options, fabric, shard_id, map),
         kind_(kind),
-        params_(params),
+        run_(run),
         options_(options),
         first_(first),
         participating_(options.shared_relays * options.subscribers_per_relay),
@@ -1080,7 +1108,7 @@ class SubscriberFabricShard final : public FabricShardBase {
  private:
   void spawn(std::uint64_t global_index, std::size_t local) {
     const auto [slot, session] = arena_.spawn(
-        sim_, kind_, params_, options_, global_index, sink_, local);
+        sim_, kind_, run_, options_, global_index, sink_, local);
     session->set_slot(slot);
     if (global_index < participating_) {
       const auto relay = static_cast<std::uint64_t>(
@@ -1089,7 +1117,7 @@ class SubscriberFabricShard final : public FabricShardBase {
       // no pending event or fabric route still reaches the old link.
       while (links_.size() <= slot) links_.emplace_back();
       std::optional<RelayLink>& link = links_[slot];
-      link.emplace(sim_, params_, options_, &port_, global_index, relay);
+      link.emplace(sim_, run_.params, options_, &port_, global_index, relay);
       session->attach_relay(&*link);
       endpoints_[local] = session;
     }
@@ -1107,7 +1135,7 @@ class SubscriberFabricShard final : public FabricShardBase {
   }
 
   ProtocolKind kind_;
-  const SingleHopParams& params_;
+  const SingleHopRun& run_;
   const SessionFarmOptions& options_;
   std::size_t first_;
   std::size_t participating_;
@@ -1245,11 +1273,10 @@ class RelayFabricShard final : public FabricShardBase {
   std::deque<RelaySession> relays_;
 };
 
-SessionFarmResult run_fabric_farm(ProtocolKind kind,
-                                  const SingleHopParams& params,
+SessionFarmResult run_fabric_farm(ProtocolKind kind, const SingleHopRun& run,
                                   const SessionFarmOptions& options) {
   validate_options(options);
-  params.validate();
+  run.validate();
   if (options.subscribers_per_relay == 0) {
     throw std::invalid_argument(
         "SessionFarmOptions: subscribers_per_relay must be > 0 with shared "
@@ -1308,13 +1335,13 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
         const std::size_t first = s * shard_size;
         const std::size_t count = std::min(shard_size, n - first);
         shard_objs[s] = std::make_unique<SubscriberFabricShard>(
-            kind, params, options, map, fabric, store,
+            kind, run, options, map, fabric, store,
             static_cast<std::uint32_t>(s), first, count);
       } else {
         const std::size_t first = (s - sub_shards) * shard_size;
         const std::size_t count = std::min(shard_size, relays - first);
         shard_objs[s] = std::make_unique<RelayFabricShard>(
-            kind, params, options, map, fabric, store,
+            kind, run.params, options, map, fabric, store,
             static_cast<std::uint32_t>(s), first, count);
       }
     }
@@ -1393,10 +1420,9 @@ SessionFarmResult run_session_farm(ProtocolKind kind,
         "run_session_farm: teardown pricing needs tree or chain sessions "
         "(single-hop sessions already end with an explicit remove)");
   }
-  if (options.shared_relays > 0) {
-    return run_fabric_farm(kind, params, options);
-  }
-  return run_farm<SingleHopSession>(kind, params, options);
+  const SingleHopRun run(params, options);
+  if (options.shared_relays > 0) return run_fabric_farm(kind, run, options);
+  return run_farm<SingleHopSession>(kind, run, options);
 }
 
 SessionFarmResult run_session_farm(ProtocolKind kind,

@@ -161,8 +161,7 @@ TreeRelay::TreeRelay(TreeContext& ctx, MessageChannel& up,
     : ctx_(ctx),
       up_(&up),
       children_(children),
-      reliable_up_(ctx.sim, ctx.rng, ctx.timers.dist, ctx.timers.retrans,
-                   &up),
+      reliable_up_(ctx, &up),
       slot_(ctx.sim, ctx.rng, ctx.mech, ctx.timers, [this] { on_expire(); }) {}
 
 /// The soft-state timeout fired and the slot dropped the value: emit the

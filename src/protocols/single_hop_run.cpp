@@ -26,13 +26,12 @@ class SingleHopRun {
         rng_receiver_(options.seed, rng::kSessionReceiver),
         rng_lifecycle_(options.seed, rng::kSessionLifecycle),
         rng_failure_(options.seed, rng::kSessionFailure),
-        forward_(sim_, rng_channel_, params.loss_config(),
-                 sim::DelayConfig{options.delay_model, params.delay,
-                                  options.delay_shape},
+        link_{params.loss_config(),
+              sim::DelayConfig{options.delay_model, params.delay,
+                               options.delay_shape}},
+        forward_(sim_, rng_channel_, link_,
                  [this](const Message& m) { receiver_->handle(m); }),
-        reverse_(sim_, rng_channel_, params.loss_config(),
-                 sim::DelayConfig{options.delay_model, params.delay,
-                                  options.delay_shape},
+        reverse_(sim_, rng_channel_, link_,
                  [this](const Message& m) { sender_->handle(m); }) {
     params_.validate();
     if (options_.crash_fraction < 0.0 || options_.crash_fraction > 1.0) {
@@ -208,6 +207,7 @@ class SingleHopRun {
   sim::Rng rng_receiver_;
   sim::Rng rng_lifecycle_;
   sim::Rng rng_failure_;
+  sim::LinkConfig link_;  ///< both channels borrow it
   MessageChannel forward_;
   MessageChannel reverse_;
   std::unique_ptr<SenderEngine> sender_;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "protocols/multi_hop_node.hpp"
+
 namespace sigcomp::protocols {
 
 // -------------------------------------------------------------- StateSlot --
@@ -41,11 +43,8 @@ void StateSlot::on_timeout() {
 
 // ---------------------------------------------------------- ReliableSlot --
 
-ReliableSlot::ReliableSlot(sim::Simulator& sim, sim::Rng& rng,
-                           sim::Distribution dist, double retrans_timer,
-                           MessageChannel* channel)
-    : sim_(sim), rng_(rng), dist_(dist), retrans_timer_(retrans_timer),
-      channel_(channel) {}
+ReliableSlot::ReliableSlot(const TreeContext& ctx, MessageChannel* channel)
+    : ctx_(ctx), channel_(channel) {}
 
 void ReliableSlot::send(Message msg) {
   pending_ = msg;
@@ -62,13 +61,14 @@ bool ReliableSlot::acknowledge(std::uint64_t seq) {
 
 void ReliableSlot::cancel() {
   outstanding_ = false;
-  sim_.cancel_timer(timer_);
+  ctx_.sim.cancel_timer(timer_);
 }
 
 void ReliableSlot::arm() {
-  sim_.cancel_timer(timer_);
-  timer_ = sim_.schedule_in(sim::sample(rng_, dist_, retrans_timer_),
-                            [this] { on_timer(); });
+  ctx_.sim.cancel_timer(timer_);
+  timer_ = ctx_.sim.schedule_in(
+      sim::sample(ctx_.rng, ctx_.timers.dist, ctx_.timers.retrans),
+      [this] { on_timer(); });
 }
 
 void ReliableSlot::on_timer() {

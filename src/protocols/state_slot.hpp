@@ -10,9 +10,9 @@
 //  * StateSlot -- the one piece of signaling state plus the soft-state
 //    timeout guarding it, driven by MechanismSet (a node whose mechanisms
 //    lack soft_timeout simply never arms one);
-//  * ReliableSlot -- the reliable-transmission mechanism: at most one
-//    outstanding message per link direction, retransmitted until
-//    acknowledged.
+//  * ReliableSlot -- the tree nodes' reliable-transmission mechanism: at
+//    most one outstanding message per link direction, retransmitted until
+//    acknowledged, on the timers of the tree's TreeContext.
 //
 // Neither primitive decides protocol policy: owners sequence the calls
 // (install, ACK emission, timeout arming, removal) so that wire behavior --
@@ -121,14 +121,17 @@ class StateSlot {
   std::function<void()> on_expire_;
 };
 
-/// Per-direction reliable transmission slot: at most one outstanding message
-/// per link direction; a newer reliable send supersedes the pending one
-/// (it always carries more recent information).
+struct TreeContext;
+
+/// Per-direction reliable transmission slot of a tree node: at most one
+/// outstanding message per link direction; a newer reliable send supersedes
+/// the pending one (it always carries more recent information).
 class ReliableSlot {
  public:
-  /// `channel` may be null only if send() is never called.
-  ReliableSlot(sim::Simulator& sim, sim::Rng& rng, sim::Distribution dist,
-               double retrans_timer, MessageChannel* channel);
+  /// Retransmits on `ctx.sim`, drawing each timer from `ctx.rng` as
+  /// `ctx.timers.dist` with mean `ctx.timers.retrans`.  `ctx` must outlive
+  /// the slot; `channel` may be null only if send() is never called.
+  ReliableSlot(const TreeContext& ctx, MessageChannel* channel);
 
   /// Sends `msg` reliably: transmit now, retransmit until acknowledged.
   void send(Message msg);
@@ -150,10 +153,7 @@ class ReliableSlot {
   void arm();
   void on_timer();
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  sim::Distribution dist_;
-  double retrans_timer_;
+  const TreeContext& ctx_;  ///< the tree's simulator, RNG and timers
   MessageChannel* channel_;
   Message pending_{};
   bool outstanding_ = false;

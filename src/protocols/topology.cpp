@@ -25,9 +25,7 @@ std::size_t reserve(std::size_t& size, std::size_t n) {
 
 TreeShape::TreeShape(TreeSpec spec, std::vector<sim::LossConfig> edge_loss,
                      std::vector<sim::DelayConfig> edge_delay)
-    : spec_(std::move(spec)),
-      edge_loss_(std::move(edge_loss)),
-      edge_delay_(std::move(edge_delay)) {
+    : spec_(std::move(spec)) {
   spec_.validate();
   const std::size_t e_count = spec_.edges();
   if (e_count == 0) {
@@ -36,11 +34,15 @@ TreeShape::TreeShape(TreeSpec spec, std::vector<sim::LossConfig> edge_loss,
   if (spec_.nodes() > UINT32_MAX) {
     throw std::invalid_argument("TreeShape: node ids must fit 32 bits");
   }
-  if (edge_loss_.size() != e_count || edge_delay_.size() != e_count) {
+  if (edge_loss.size() != e_count || edge_delay.size() != e_count) {
     throw std::invalid_argument(
         "TreeShape: need one loss and one delay config per edge");
   }
-  for (const sim::DelayConfig& delay : edge_delay_) delay.validate();
+  links_.reserve(e_count);
+  for (std::size_t e = 0; e < e_count; ++e) {
+    links_.push_back(sim::LinkConfig{edge_loss[e], edge_delay[e]});
+    links_.back().validate();
+  }
 
   // CSR child lists by a counting sort over the parent vector: node n's
   // child edges are child_edges_[first_child_[n], first_child_[n + 1]), in
@@ -103,12 +105,12 @@ Topology::Topology(const TreeShape* borrowed,
   // edge only: a delivery down e goes to relay e, one up e to e's parent.
   down_.build(block + down_at, e_count, [&](void* where, std::size_t e) {
     ::new (where) MessageChannel(
-        sim, channel_rng, shape.edge_loss(e), shape.edge_delay(e),
+        sim, channel_rng, shape.link(e),
         [this, e](const Message& m) { relays_[e].handle_from_upstream(m); });
   });
   up_.build(block + up_at, e_count, [&](void* where, std::size_t e) {
     ::new (where) MessageChannel(
-        sim, channel_rng, shape.edge_loss(e), shape.edge_delay(e),
+        sim, channel_rng, shape.link(e),
         [this, e](const Message& m) { deliver_up(e, m); });
   });
   if (trace != nullptr) {
@@ -122,8 +124,7 @@ Topology::Topology(const TreeShape* borrowed,
   }
   reliable_down_.build(block + reliable_at, e_count,
                        [&](void* where, std::size_t e) {
-                         ::new (where) ReliableSlot(sim, node_rng, timers.dist,
-                                                    timers.retrans, &down_[e]);
+                         ::new (where) ReliableSlot(ctx_, &down_[e]);
                        });
 
   ctx_.down = &down_[0];

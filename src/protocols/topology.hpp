@@ -5,11 +5,12 @@
 // tree harness and the session farm run.
 //
 // Layout.  What a run's trees share -- the TreeSpec, its child lists in CSR
-// form and each edge's channel configuration -- is a TreeShape, built once
-// per run.  Each Topology then makes one heap block holding its sender,
-// relays and channels and its per-edge arrays (reliable slots, activity
-// and installed flags) and per-node membership counts, all sized once from
-// the shape, plus one TreeContext every node refers to.
+// form and each edge's link, which the edge's channels borrow -- is a
+// TreeShape, built once per run.  Each Topology then makes one heap block
+// holding its sender, relays and channels and its per-edge arrays
+// (reliable slots, activity and installed flags) and per-node membership
+// counts, all sized once from the shape, plus one TreeContext every node
+// refers to.
 #pragma once
 
 #include <cstddef>
@@ -34,13 +35,13 @@ namespace sigcomp::protocols {
 
 /// What every tree of one run derives from its parameters alone, built
 /// once and shared by each Topology built on it: the TreeSpec, node n's
-/// child edges in increasing edge order (CSR), and edge e's loss and delay
-/// configuration, used by both of its directions.
+/// child edges in increasing edge order (CSR), and edge e's link -- its
+/// loss and delay configuration, which both of its channels borrow.
 class TreeShape {
  public:
   /// `edge_loss` and `edge_delay` must have exactly spec.edges() entries,
   /// and the spec at least one edge.  Throws std::invalid_argument on an
-  /// invalid spec, mismatched vectors or an invalid delay configuration.
+  /// invalid spec, mismatched vectors or an invalid link configuration.
   TreeShape(TreeSpec spec, std::vector<sim::LossConfig> edge_loss,
             std::vector<sim::DelayConfig> edge_delay);
 
@@ -60,28 +61,23 @@ class TreeShape {
     return {child_edges_.data() + first_child_[node],
             first_child_[node + 1] - first_child_[node]};
   }
-  /// Edge e's loss process.
-  [[nodiscard]] const sim::LossConfig& edge_loss(std::size_t e) const noexcept {
-    return edge_loss_[e];
-  }
-  /// Edge e's delay law.
-  [[nodiscard]] const sim::DelayConfig& edge_delay(
-      std::size_t e) const noexcept {
-    return edge_delay_[e];
+  /// Edge e's link, borrowed by the edge's channels in every tree built on
+  /// the shape.
+  [[nodiscard]] const sim::LinkConfig& link(std::size_t e) const noexcept {
+    return links_[e];
   }
 
  private:
   TreeSpec spec_;
-  std::vector<sim::LossConfig> edge_loss_;
-  std::vector<sim::DelayConfig> edge_delay_;
+  std::vector<sim::LinkConfig> links_;
   std::vector<std::uint32_t> first_child_;  ///< CSR offsets, nodes() + 1
   std::vector<std::uint32_t> child_edges_;  ///< edges grouped by parent
 };
 
-/// Owns the tree's nodes and channels.  Edge e's two directions share the
-/// link's loss and delay configuration; channel trace labels are "dn<e>"
-/// (away from the root) and "up<e>" (toward the root) -- on a chain spec
-/// these coincide with the historical per-hop labels.
+/// Owns the tree's nodes and channels.  Edge e's two directions borrow the
+/// shape's link(e); channel trace labels are "dn<e>" (away from the root)
+/// and "up<e>" (toward the root) -- on a chain spec these coincide with the
+/// historical per-hop labels.
 class Topology {
  public:
   /// `shape`, `channel_rng` and `node_rng` must outlive the topology.

@@ -107,15 +107,16 @@ LossProcess::LossProcess(LossConfig config) : config_(config) {
   config_.validate();
 }
 
-bool LossProcess::drop(Rng& rng) noexcept {
-  if (config_.model == LossModel::kIid) return rng.bernoulli(config_.loss);
+bool LossProcess::drop(const LossConfig& config, bool& bad,
+                       Rng& rng) noexcept {
+  if (config.model == LossModel::kIid) return rng.bernoulli(config.loss);
   // Step the chain, then drop according to the post-step state.  Sampling
   // "next state is bad" as u < P(bad | current) makes the degenerate
   // parameterization (p_gb = p, p_bg = 1 - p) consume the stream exactly
   // like iid Bernoulli(p): u < p on every send regardless of state.
-  const double to_bad = bad_ ? 1.0 - config_.p_bg : config_.p_gb;
-  bad_ = rng.bernoulli(to_bad);
-  return rng.bernoulli(bad_ ? config_.loss_bad : config_.loss_good);
+  const double to_bad = bad ? 1.0 - config.p_bg : config.p_gb;
+  bad = rng.bernoulli(to_bad);
+  return rng.bernoulli(bad ? config.loss_bad : config.loss_good);
 }
 
 void LossProcess::set_loss(double loss) {

@@ -15,6 +15,8 @@
 //  - DelayConfig: deterministic/exponential as before, plus Pareto and
 //    lognormal heavy-tail laws reusing the Rng primitives (no bench-local
 //    sampling hacks).
+//  - LinkConfig: one link's loss and delay configuration, built once and
+//    borrowed by every channel that runs the link.
 #pragma once
 
 #include "sim/rng.hpp"
@@ -92,13 +94,21 @@ class LossProcess {
   [[nodiscard]] bool in_bad_state() const noexcept { return bad_; }
 
   /// Advances the process by one message and returns whether it is dropped.
+  [[nodiscard]] bool drop(Rng& rng) noexcept {
+    return drop(config_, bad_, rng);
+  }
+
+  /// One step of `config`'s process whose GE state is `bad`: the step every
+  /// LossProcess and every sim::Channel takes, so channels can read one
+  /// shared configuration while each keeps its own state bit.
   ///
   /// GE steps the chain first and drops according to the *post-step* state.
   /// The next state is sampled as `u < P(bad | current)`, so the degenerate
   /// parameterization p_gb = p, p_bg = 1 - p, loss_bad = 1, loss_good = 0
   /// consumes the random stream exactly like iid Bernoulli(p) and produces
   /// a bit-identical drop sequence under a shared seed.
-  [[nodiscard]] bool drop(Rng& rng) noexcept;
+  [[nodiscard]] static bool drop(const LossConfig& config, bool& bad,
+                                 Rng& rng) noexcept;
 
   /// Fault injection (blackhole a link, then heal it): replaces the process
   /// with iid Bernoulli(loss).  Throws std::invalid_argument when `loss` is
@@ -147,6 +157,26 @@ struct DelayConfig {
 
   friend bool operator==(const DelayConfig&,
                          const DelayConfig&) = default;  ///< field-wise equality
+};
+
+/// One link of the network model: its loss process and its delay law.
+/// Immutable once built and shared: every sim::Channel reads its link
+/// through a pointer, so the two directions of a tree edge, or the
+/// channels of every session of a farm run, borrow one LinkConfig and keep
+/// only their own mutable state.
+struct LinkConfig {
+  LossConfig loss;    ///< what the link drops
+  DelayConfig delay;  ///< how long a surviving message takes
+
+  /// Throws std::invalid_argument on an invalid loss or delay
+  /// configuration.
+  void validate() const {
+    loss.validate();
+    delay.validate();
+  }
+
+  friend bool operator==(const LinkConfig&,
+                         const LinkConfig&) = default;  ///< field-wise equality
 };
 
 }  // namespace sigcomp::sim

@@ -5,9 +5,10 @@
 // aggregates -- across all five protocols x {single-hop, chain, tree}
 // topologies x {1, 2, 8} threads x shard sizes {7, 64, 4096}, plus a
 // churn+scenario configuration, a bursts-only one, one where HS false
-// signals fire and one with bursty loss and heavy-tailed delays.  This is the lock on the rewrite's core claim: arenas, slot
-// recycling, sliced execution and batched expiry delivery change WHERE
-// sessions live and WHEN their events are popped, never what they compute.
+// signals fire and one with bursty loss and heavy-tailed delays.  This is
+// the lock on the rewrite's core claim: arenas, slot recycling, sliced
+// execution and batched expiry delivery change WHERE sessions live and
+// WHEN their events are popped, never what they compute.
 #include <gtest/gtest.h>
 
 #include <cstddef>

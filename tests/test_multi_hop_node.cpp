@@ -29,15 +29,29 @@ struct Capture {
   }
 };
 
+/// The timers every fixture here runs: deterministic, R = 5, T = 15,
+/// retransmission after 0.5.
+TimerSettings chain_timers() {
+  TimerSettings timers;
+  timers.dist = sim::Distribution::kDeterministic;
+  timers.refresh = 5.0;
+  timers.timeout = 15.0;
+  timers.retrans = 0.5;
+  return timers;
+}
+
+/// A reliable slot on a one-edge tree context: it retransmits every 0.5 s.
 struct SlotFixture {
   SlotFixture()
       : rng(5),
+        ctx{sim, rng, mechanisms(ProtocolKind::kHS), chain_timers(), nullptr},
         channel(sim, rng, 0.0, 0.01, sim::Distribution::kDeterministic,
                 capture.sink()),
-        slot(sim, rng, sim::Distribution::kDeterministic, 0.5, &channel) {}
+        slot(ctx, &channel) {}
 
   sim::Simulator sim;
   sim::Rng rng;
+  TreeContext ctx;
   Capture capture;
   MessageChannel channel;
   ReliableSlot slot;
@@ -87,17 +101,6 @@ TEST(ReliableSlot, CancelDropsOutstanding) {
   EXPECT_EQ(f.channel.counters().sent, 1u);
 }
 
-/// The timers every chain-node fixture runs: deterministic, R = 5, T = 15,
-/// retransmission after 0.5.
-TimerSettings chain_timers() {
-  TimerSettings timers;
-  timers.dist = sim::Distribution::kDeterministic;
-  timers.refresh = 5.0;
-  timers.timeout = 15.0;
-  timers.retrans = 0.5;
-  return timers;
-}
-
 /// The one child edge of a chain node: edge 0 of its context's arrays.
 constexpr std::uint32_t kOnlyChild[] = {0};
 
@@ -107,7 +110,7 @@ struct OneEdge {
   OneEdge(sim::Simulator& sim, sim::Rng& rng, ProtocolKind kind,
           MessageChannel& down)
       : ctx{sim, rng, mechanisms(kind), chain_timers(), nullptr},
-        reliable(sim, rng, ctx.timers.dist, ctx.timers.retrans, &down) {
+        reliable(ctx, &down) {
     ctx.down = &down;
     ctx.reliable_down = &reliable;
     ctx.child_active = &active;
