@@ -11,12 +11,15 @@
 //    free list once quiescent, so steady-state arrival/teardown performs
 //    zero heap allocations (asserted by tests via the arena counters and
 //    EventCallback::heap_allocations()).
-//  * Persistent per-core shard workers: instead of fanning one task per
-//    shard through parallel_for, each of W = min(threads, shards) workers
-//    owns the strided shard set {w, w+W, ...} and advances each shard's
-//    Simulator in time slices (Simulator::run_slice), with batched
-//    timer-expiry delivery amortizing queue pops on the refresh-storm hot
-//    path.
+//  * Shards run to completion: pool threads claim shards dynamically
+//    through parallel_for, and the claiming thread builds its shard,
+//    advances the shard's Simulator in time slices (Simulator::run_slice)
+//    until the last session completes, records the outcome and destroys
+//    the shard before claiming the next.  A thread holds one shard's
+//    sessions at a time, so peak memory is O(threads x shard_size)
+//    sessions plus the O(N) result store, and each shard's allocations
+//    live and die on one thread.  Batched timer-expiry delivery within a
+//    slice amortizes queue pops on the refresh-storm hot path.
 //  * Results written in place: one farm-wide FarmStore holds every
 //    session's Metrics, begin and completion times (and churn report, when
 //    sessions own a MembershipController) by global index; each shard's
@@ -101,11 +104,12 @@ namespace {
 using protocols::MessageChannel;
 using protocols::Message;
 
-/// Slice width of the shard workers' round-robin (simulated seconds).  A
-/// pure performance knob: each slice is anchored at the shard's next
-/// pending event, and run_slice preserves exact pop order, so any width
-/// yields the same results.  10 s spans several refresh periods, batching
-/// enough expiries per drain to amortize the pops.
+/// Width of one run_slice call of a relay-free shard (simulated seconds):
+/// the batch its due timer expiries are drained in.  A pure performance
+/// knob: each slice is anchored at the shard's next pending event, and
+/// run_slice preserves exact pop order, so any width yields the same
+/// results.  10 s spans several refresh periods, batching enough expiries
+/// per drain to amortize the pops.
 constexpr double kSliceSeconds = 10.0;
 
 /// Epoch width of the cross-shard fabric (simulated seconds).  UNLIKE
@@ -843,8 +847,8 @@ void schedule_arrivals(sim::Simulator& sim, const SessionFarmOptions& options,
 }
 
 /// Sessions [first, first + count) of the farm: one Simulator, one arena,
-/// one sink.  Construction installs the arrival stream; a shard worker then
-/// drives advance_slice() until complete().
+/// one sink.  Construction installs the arrival stream; the thread that
+/// claimed the shard then drives advance_slice() until complete().
 template <typename Session, typename Run>
 class Shard {
  public:
@@ -919,40 +923,20 @@ SessionFarmResult run_farm(ProtocolKind kind, const Run& run,
     engine = &*local_engine;
   }
 
-  // Persistent per-core shard workers: worker w owns the strided shard set
-  // {w, w + W, ...}, builds every owned shard up front, and round-robins
-  // one time slice per incomplete shard until all of them finish.
-  // Ownership and slicing cannot affect results: shards are independent
-  // simulators and run_slice preserves exact pop order, so this is the
-  // task-per-shard farm's schedule merely interleaved differently in
-  // wall-clock time.
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(engine->threads(), shards));
+  // Each shard runs to completion on the thread that claims it and is
+  // destroyed before that thread claims another (see the file comment).
+  // Which thread runs a shard, and when, cannot affect results: shards are
+  // independent simulators and run_slice preserves exact pop order.
   const bool with_churn = protocols::TreeSessionCore::owns_membership(
       options.leaf_churn, options.scenario);
   FarmStore store(n, with_churn);
   std::vector<ShardOutcome> outcomes(shards);
-  parallel_for(engine->pool(), workers, [&](std::size_t w) {
-    std::vector<std::unique_ptr<Shard<Session, Run>>> owned;
-    for (std::size_t s = w; s < shards; s += workers) {
-      const std::size_t first = s * shard_size;
-      const std::size_t count = std::min(shard_size, n - first);
-      owned.push_back(std::make_unique<Shard<Session, Run>>(
-          kind, run, options, store, first, count));
-    }
-    bool all_done = false;
-    while (!all_done) {
-      all_done = true;
-      for (auto& shard : owned) {
-        if (shard->complete()) continue;
-        shard->advance_slice();
-        all_done = all_done && shard->complete();
-      }
-    }
-    std::size_t next = 0;
-    for (std::size_t s = w; s < shards; s += workers) {
-      outcomes[s] = owned[next++]->finish();
-    }
+  parallel_for(engine->pool(), shards, [&](std::size_t s) {
+    const std::size_t first = s * shard_size;
+    Shard<Session, Run> shard(kind, run, options, store, first,
+                              std::min(shard_size, n - first));
+    while (!shard.complete()) shard.advance_slice();
+    outcomes[s] = shard.finish();
   });
 
   return aggregate_outcomes(outcomes, store, options);
@@ -960,10 +944,11 @@ SessionFarmResult run_farm(ProtocolKind kind, const Run& run,
 
 // ------------------------------------------------------ the fabric farm --
 //
-// Shared relays turn independent shards into a communicating system, so the
-// free-running round-robin above no longer preserves determinism: a shard
-// racing ahead could observe (or miss) messages depending on wall-clock
-// scheduling.  The fabric farm instead runs global LOCKSTEP EPOCHS:
+// Shared relays turn independent shards into a communicating system, so
+// running each shard to completion on its own no longer preserves
+// determinism: a shard racing ahead could observe (or miss) messages
+// depending on wall-clock scheduling.  The fabric farm instead runs global
+// LOCKSTEP EPOCHS:
 //
 //   1. negotiate (serial):  H_k = min over all shards of the earliest
 //      pending event time, plus kFabricSliceSeconds.  The minimum is over
@@ -1324,7 +1309,7 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind, const SingleHopRun& run,
   const std::size_t workers =
       std::max<std::size_t>(1, std::min(engine->threads(), shards));
 
-  // Build every shard up front (parallel, strided like the base farm).
+  // Build every shard up front (parallel, each worker a strided set).
   const bool with_churn = protocols::TreeSessionCore::owns_membership(
       options.leaf_churn, options.scenario);
   FarmStore store(n + relays, with_churn);

@@ -1,16 +1,20 @@
-// What one tree session costs the heap: the number of blocks a
+// What sessions cost the heap.  TreeFootprint counts the blocks a
 // tree_churn-shaped protocols::TreeSessionCore allocates while it is built,
 // and the bytes those blocks still hold once it is.  The session farm keeps
 // thousands of these in flight, so a layout change that adds per-node or
 // per-edge allocations should fail here, not only in a benchmark run.
+// FarmFootprint bounds the peak bytes a whole farm holds at once: a thread
+// keeps one shard of sessions live at a time, so adding shards adds only
+// their slice of the farm-wide result store.
 //
-// Counting replaces the global operator new/delete of this test binary:
-// each block carries a small header with its requested size, and only
-// allocations made on the counting thread inside a CountingScope are
-// tallied.  The tally is exact (requested bytes, not allocator rounding),
-// so it is the same in every build, ASan included.
+// Counting replaces the global operator new/delete of this test binary,
+// over-aligned forms included: each block carries a small header with its
+// requested size, and only allocations made on the counting thread inside
+// a CountingScope are tallied.  The tally is exact (requested bytes, not
+// allocator rounding), so it is the same in every build, ASan included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -18,8 +22,11 @@
 #include <new>
 
 #include "analytic/tree_paths.hpp"
+#include "core/metrics.hpp"
 #include "core/params.hpp"
 #include "core/protocol.hpp"
+#include "exp/parallel.hpp"
+#include "exp/session_farm.hpp"
 #include "protocols/membership.hpp"
 #include "protocols/scenario.hpp"
 #include "protocols/tree_session.hpp"
@@ -35,29 +42,40 @@ constexpr std::size_t kHeader = alignof(std::max_align_t);
 thread_local bool t_counting = false;
 thread_local std::size_t t_blocks = 0;   ///< blocks allocated while counting
 thread_local std::ptrdiff_t t_live = 0;  ///< bytes allocated minus freed
+thread_local std::ptrdiff_t t_peak = 0;  ///< the most t_live has reached
 
-void* counted_new(std::size_t n) noexcept {
-  void* raw = std::malloc(n + kHeader);
+/// Header room of a block aligned to `align`: the header keeps the
+/// block's alignment.
+std::size_t header_for(std::size_t align) noexcept {
+  return std::max(align, kHeader);
+}
+
+void* counted_new(std::size_t n, std::size_t align = kHeader) noexcept {
+  const std::size_t header = header_for(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t total = (n + header + header - 1) / header * header;
+  void* raw = std::aligned_alloc(header, total);
   if (raw == nullptr) return nullptr;
   *static_cast<std::size_t*>(raw) = n;
   if (t_counting) {
     ++t_blocks;
     t_live += static_cast<std::ptrdiff_t>(n);
+    t_peak = std::max(t_peak, t_live);
   }
-  return static_cast<char*>(raw) + kHeader;
+  return static_cast<char*>(raw) + header;
 }
 
-void counted_delete(void* p) noexcept {
+void counted_delete(void* p, std::size_t align = kHeader) noexcept {
   if (p == nullptr) return;
-  void* raw = static_cast<char*>(p) - kHeader;
+  void* raw = static_cast<char*>(p) - header_for(align);
   if (t_counting) {
     t_live -= static_cast<std::ptrdiff_t>(*static_cast<std::size_t*>(raw));
   }
   std::free(raw);
 }
 
-void* throwing_new(std::size_t n) {
-  void* p = counted_new(n);
+void* throwing_new(std::size_t n, std::size_t align = kHeader) {
+  void* p = counted_new(n, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -82,6 +100,26 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
   counted_delete(p);
 }
+// Over-aligned blocks (the session arena's chunks) are counted the same
+// way, with a header as wide as their alignment.
+void* operator new(std::size_t n, std::align_val_t al) {
+  return throwing_new(n, static_cast<std::size_t>(al));
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return throwing_new(n, static_cast<std::size_t>(al));
+}
+void operator delete(void* p, std::align_val_t al) noexcept {
+  counted_delete(p, static_cast<std::size_t>(al));
+}
+void operator delete[](void* p, std::align_val_t al) noexcept {
+  counted_delete(p, static_cast<std::size_t>(al));
+}
+void operator delete(void* p, std::size_t, std::align_val_t al) noexcept {
+  counted_delete(p, static_cast<std::size_t>(al));
+}
+void operator delete[](void* p, std::size_t, std::align_val_t al) noexcept {
+  counted_delete(p, static_cast<std::size_t>(al));
+}
 
 namespace sigcomp::protocols {
 namespace {
@@ -92,6 +130,7 @@ class CountingScope {
   CountingScope() {
     t_blocks = 0;
     t_live = 0;
+    t_peak = 0;
     t_counting = true;
   }
   ~CountingScope() { t_counting = false; }
@@ -100,6 +139,7 @@ class CountingScope {
 
   [[nodiscard]] std::size_t blocks() const noexcept { return t_blocks; }
   [[nodiscard]] std::ptrdiff_t live_bytes() const noexcept { return t_live; }
+  [[nodiscard]] std::ptrdiff_t peak_bytes() const noexcept { return t_peak; }
 };
 
 TreeSessionRngs session_rngs() {
@@ -117,6 +157,7 @@ TEST(TreeFootprint, CountingSeesEveryBlockAndItsBytes) {
   delete b;
   EXPECT_EQ(scope.blocks(), 2u);
   EXPECT_EQ(scope.live_bytes(), 0);
+  EXPECT_EQ(scope.peak_bytes(), 3 * 8 + 4);
 }
 
 TEST(TreeFootprint, TreeChurnSessionCoreBuildsInAFewBlocks) {
@@ -155,6 +196,59 @@ TEST(TreeFootprint, TreeChurnSessionCoreBuildsInAFewBlocks) {
     // with their vectors.
     EXPECT_LE(blocks, 12u) << to_string(kind);
     EXPECT_LE(live, 12500) << to_string(kind);
+  }
+}
+
+/// Sessions per shard of the FarmFootprint farms.
+constexpr std::size_t kFootprintShard = 256;
+
+/// Peak bytes held at once by a hold-shaped SS+RT farm of `shards` shards
+/// of kFootprintShard sessions, run on this thread.  Every session arrives
+/// within 10 s and lives 300 s on average, so all of a shard's sessions are
+/// live together.
+std::ptrdiff_t hold_farm_peak(std::size_t shards,
+                              sim::EventQueueBackend queue) {
+  // One pool thread: parallel_for runs every shard on the calling thread,
+  // where the counting happens.  The pool itself is built uncounted.
+  exp::ParallelSweep engine(1);
+  exp::SessionFarmOptions options;
+  options.sessions = shards * kFootprintShard;
+  options.shard_size = kFootprintShard;
+  options.arrival_rate = static_cast<double>(options.sessions) / 10.0;
+  options.session_lifetime = 300.0;
+  options.engine = &engine;
+  options.event_queue = queue;
+  CountingScope scope;
+  const exp::SessionFarmResult result = exp::run_session_farm(
+      ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(), options);
+  EXPECT_EQ(result.sessions, options.sessions);
+  EXPECT_EQ(result.shards, shards);
+  return scope.peak_bytes();
+}
+
+TEST(FarmFootprint, OneThreadHoldsOneShardOfSessionsAtATime) {
+  // What each further session may cost: its slot of the farm-wide store
+  // (metrics, arrival and completion times) and, while its shard runs, its
+  // 4 B entry in the simulator's arrival cursor.
+  constexpr auto kStoreBytes = static_cast<std::ptrdiff_t>(
+      sizeof(Metrics) + 2 * sizeof(double) + sizeof(std::uint32_t));
+  // Shards differ in the queue high water their sessions reach, and a
+  // queue grows by doubling.  Measured with gcc 12 / libstdc++ on the
+  // heap: the first shard peaks at 1,019 event slots, the third at 1,028,
+  // and that one doubling holds about 125 kB more.
+  constexpr std::ptrdiff_t kSlack = 192 * 1024;
+  const auto extra_sessions = static_cast<std::ptrdiff_t>(7 * kFootprintShard);
+  for (const auto queue :
+       {sim::EventQueueBackend::kHeap, sim::EventQueueBackend::kWheel}) {
+    const std::ptrdiff_t one = hold_farm_peak(1, queue);
+    const std::ptrdiff_t eight = hold_farm_peak(8, queue);
+    // Measured as above: 441,784 and 725,248 B on the heap.  A loop that
+    // keeps every shard live until the last one finishes holds 3.8 MB.
+    EXPECT_LE(eight - one, extra_sessions * kStoreBytes + kSlack)
+        << sim::to_string(queue) << ": peak with 1 shard " << one
+        << " B, with 8 shards " << eight << " B";
+    // The bound means something: one shard alone holds more than the slack.
+    EXPECT_GT(one, kSlack) << sim::to_string(queue);
   }
 }
 
