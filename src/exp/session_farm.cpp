@@ -21,12 +21,16 @@
 //    live and die on one thread.  Batched timer-expiry delivery within a
 //    slice amortizes queue pops on the refresh-storm hot path.
 //  * Results written in place: one farm-wide FarmStore holds every
-//    session's Metrics, begin and completion times (and churn report, when
-//    sessions own a MembershipController) by global index; each shard's
-//    ShardSink is a view of its slice, so shards hand back only counters
-//    and the reduce reads the store directly.  Its exact
-//    peak_sessions_in_flight sweeps every session's [begin, completion]
-//    endpoints globally, replacing the summed-per-shard upper bound.
+//    session's Metrics (and churn report, when sessions own a
+//    MembershipController) by global index, and each shard's begin and
+//    completion times in its slice; each shard's ShardSink is a view of
+//    that slice, so shards hand back only counters and the reduce reads
+//    the store directly.  The thread that ran a shard sorts its slice of
+//    begin times once the shard is done (completion times arrive in time
+//    order), and the reduce's exact peak_sessions_in_flight sweeps those
+//    per-shard runs in parallel chunks of the time axis
+//    (exp/peak_sweep.hpp), replacing the summed-per-shard upper bound
+//    without a global sort.
 //  * Arrivals outside the queue: each shard hands its simulator the
 //    sessions' arrival times from the store as a sorted arrival stream
 //    instead of pushing one pending event per session, so a shard's queue
@@ -72,6 +76,7 @@
 #include <vector>
 
 #include "core/rng_streams.hpp"
+#include "exp/peak_sweep.hpp"
 #include "exp/session_arena.hpp"
 #include "exp/shard_ring.hpp"
 #include "exp/thread_pool.hpp"
@@ -84,6 +89,144 @@
 #include "sim/stats.hpp"
 
 namespace sigcomp::exp {
+
+// ------------------------------------------------- the exact peak sweep --
+
+namespace {
+
+/// Starts per sweep chunk that the chunk count aims at: enough to pay for
+/// a chunk's binary searches over every run, few enough that a farm's
+/// reduce spreads over the pool.
+constexpr std::size_t kSweepChunk = 4096;
+
+/// Start times sampled per chunk to place the chunk edges.
+constexpr std::size_t kSweepSamples = 8;
+
+/// Merges the sorted runs laid end to end in `a` -- run i at [at[i],
+/// at[i + 1]) -- pairwise into one sorted run, ping-ponging with `b` (a's
+/// size).  Returns whichever of the two holds the result.
+const std::vector<double>& merge_runs(std::vector<double>& a,
+                                      std::vector<double>& b,
+                                      std::vector<std::size_t>& at) {
+  std::vector<double>* from = &a;
+  std::vector<double>* to = &b;
+  std::vector<std::size_t> merged;
+  while (at.size() > 2) {
+    const std::size_t runs = at.size() - 1;
+    merged.assign(1, 0);
+    for (std::size_t i = 0; i < runs; i += 2) {
+      const double* base = from->data();
+      const std::size_t hi = at[std::min(i + 2, runs)];
+      std::merge(base + at[i], base + at[i + 1], base + at[i + 1], base + hi,
+                 to->data() + at[i]);
+      merged.push_back(hi);
+    }
+    std::swap(from, to);
+    at.swap(merged);
+  }
+  return *from;
+}
+
+/// Copies every run's part of [lo, hi) of `times` end to end into `out`,
+/// recording where each non-empty part ends in `at`.  Returns how many of
+/// the runs' times lie before lo.
+std::size_t gather_runs(std::span<const double> times,
+                        std::span<const std::size_t> bounds, double lo,
+                        double hi, std::vector<double>& out,
+                        std::vector<std::size_t>& at) {
+  std::size_t before = 0;
+  for (std::size_t r = 0; r + 1 < bounds.size(); ++r) {
+    const std::span<const double> run =
+        times.subspan(bounds[r], bounds[r + 1] - bounds[r]);
+    const auto first = std::lower_bound(run.begin(), run.end(), lo);
+    const auto past = std::lower_bound(first, run.end(), hi);
+    before += static_cast<std::size_t>(first - run.begin());
+    if (first == past) continue;
+    out.insert(out.end(), first, past);
+    at.push_back(out.size());
+  }
+  return before;
+}
+
+/// The peak over the starts in [lo, hi): the count in flight just before
+/// lo, taken from binary searches over every run, then a sweep of the
+/// chunk's merged sub-runs.  Ends at or after the chunk's last start lower
+/// none of its counts, so they are left out.
+std::size_t chunk_peak(std::span<const double> starts,
+                       std::span<const double> ends,
+                       std::span<const std::size_t> bounds, double lo,
+                       double hi) {
+  std::vector<double> in;
+  std::vector<std::size_t> in_at{0};
+  const std::size_t started = gather_runs(starts, bounds, lo, hi, in, in_at);
+  if (in.empty()) return 0;
+  const double last = *std::max_element(in.begin(), in.end());
+  std::vector<double> out;
+  std::vector<std::size_t> out_at{0};
+  const std::size_t ended = gather_runs(ends, bounds, lo, last, out, out_at);
+
+  std::vector<double> in_scratch(in.size());
+  const std::vector<double>& begins = merge_runs(in, in_scratch, in_at);
+  std::vector<double> out_scratch(out.size());
+  const std::vector<double>& completions =
+      merge_runs(out, out_scratch, out_at);
+  std::size_t active = started - ended;
+  std::size_t peak = 0;
+  std::size_t next_end = 0;
+  for (const double start : begins) {
+    while (next_end < completions.size() && completions[next_end] < start) {
+      --active;
+      ++next_end;
+    }
+    ++active;
+    peak = std::max(peak, active);
+  }
+  return peak;
+}
+
+}  // namespace
+
+std::size_t peak_in_flight(std::span<const double> starts,
+                           std::span<const double> ends,
+                           std::span<const std::size_t> bounds,
+                           ThreadPool& pool,
+                           const std::function<void()>& alongside) {
+  const std::size_t total = starts.size();
+  const std::size_t runs = std::max<std::size_t>(1, bounds.size() - 1);
+  // Every chunk binary-searches every run, so there are no more chunks
+  // than the runs are long on average.
+  const std::size_t chunks =
+      std::max<std::size_t>(1, std::min(total / kSweepChunk, total / runs));
+  // Chunk edges at evenly spaced ranks of a sample of the starts.  The
+  // sample positions are evenly spaced over the runs laid end to end, so
+  // each run gives its share at evenly spaced ranks of its own, and the
+  // chunks hold about as many starts each.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> edges{-kInf};
+  if (chunks > 1) {
+    std::vector<double> sample(chunks * kSweepSamples);
+    for (std::size_t i = 0; i < sample.size(); ++i) {
+      sample[i] = starts[(2 * i + 1) * total / (2 * sample.size())];
+    }
+    std::sort(sample.begin(), sample.end());
+    for (std::size_t c = 1; c < chunks; ++c) {
+      edges.push_back(sample[c * kSweepSamples]);
+    }
+  }
+  edges.push_back(kInf);
+
+  std::vector<std::size_t> peaks(chunks, 0);
+  const std::size_t extra = alongside ? 1 : 0;
+  parallel_for(pool, extra + chunks, [&](std::size_t i) {
+    if (i < extra) {
+      alongside();
+      return;
+    }
+    const std::size_t c = i - extra;
+    peaks[c] = chunk_peak(starts, ends, bounds, edges[c], edges[c + 1]);
+  });
+  return *std::max_element(peaks.begin(), peaks.end());
+}
 
 FarmCounters& FarmCounters::operator+=(const FarmCounters& other) noexcept {
   messages += other.messages;
@@ -226,13 +369,16 @@ struct FarmStore {
   /// Begin times, filled at shard construction; each shard's simulator
   /// reads its slice as the shard's arrival stream.
   std::vector<double> arrival;
-  std::vector<double> end;  ///< completion times, filled on completion
+  /// Completion times, each shard's in completion order (ShardSink).
+  std::vector<double> end;
   std::vector<protocols::ChurnReport> churn;
 };
 
 /// Where sessions deposit their results: a view of the shard's slice
-/// [first, first + count) of the farm store, indexed by the session's local
-/// (within-shard) index so completion order cannot affect anything.
+/// [first, first + count) of the farm store.  Metrics and churn reports are
+/// indexed by the session's local (within-shard) index, so completion order
+/// cannot affect them; completion times are appended in completion order,
+/// which is time order, because the reduce needs only their sorted run.
 /// Completion-time recording replaces the reference farm's
 /// read-the-session-at-shard-end extraction: recycled sessions are
 /// destroyed long before the shard finishes, so everything a session will
@@ -502,7 +648,7 @@ class SingleHopSession {
     // also what drives quiescent()'s in-flight counts to zero.
     sender_.begin_epoch(2);
     receiver_.begin_epoch(2);
-    sink_.end[local_] = end;
+    sink_.end[sink_.completed] = end;
     sink_.messages += messages;
     sink_.receiver_timeouts += receiver_.timeouts();
     ++sink_.completed;
@@ -694,7 +840,7 @@ class TreeSession {
     metrics.message_rate = metrics.raw_message_rate;
     topology.stop();
     sink_.teardown_messages += messages - window_messages_;
-    sink_.end[local_] = end_time_;
+    sink_.end[sink_.completed] = end_time_;
     sink_.messages += messages;
     sink_.receiver_timeouts += topology.relay_timeouts();
     ++sink_.completed;
@@ -770,14 +916,55 @@ ShardOutcome outcome_of(const ShardSink& sink, const sim::Simulator& sim) {
   return out;
 }
 
+/// Where each shard's slice of the farm store begins, then the store's
+/// size: shard s holds [bounds[s], bounds[s + 1]).  Subscriber shards cut
+/// [0, sessions) into blocks of shard_size; relay shards cut [sessions,
+/// total) the same way from a fresh boundary (FabricMap's partition).
+std::vector<std::size_t> shard_bounds(std::size_t sessions,
+                                      std::size_t total,
+                                      std::size_t shard_size) {
+  std::vector<std::size_t> bounds;
+  for (std::size_t at = 0; at < sessions; at += shard_size) {
+    bounds.push_back(at);
+  }
+  for (std::size_t at = sessions; at < total; at += shard_size) {
+    bounds.push_back(at);
+  }
+  bounds.push_back(total);
+  return bounds;
+}
+
+/// Sorts a finished shard's slices of the store's begin and completion
+/// times, on the thread that ran the shard, into the runs peak_in_flight
+/// sweeps.  Call once the shard's simulator no longer reads its arrival
+/// stream; nothing reads the begin times by session after that.  The
+/// completion times arrive in completion order, which is time order, so
+/// they are only checked: a tree session with teardown records its window
+/// end one fixed grace period late, which keeps the order.
+void sort_endpoints(FarmStore& store, std::size_t first, std::size_t past) {
+  const std::size_t count = past - first;
+  const std::span<double> arrival =
+      std::span(store.arrival).subspan(first, count);
+  const std::span<double> end = std::span(store.end).subspan(first, count);
+  std::sort(arrival.begin(), arrival.end());
+  if (!std::is_sorted(end.begin(), end.end())) {
+    std::sort(end.begin(), end.end());
+  }
+}
+
 /// Reduces the completed farm -- shard counters in shard order, per-session
 /// results straight from the store in global session order -- into a
-/// SessionFarmResult.  Shared by the base farm and the fabric farm.
-/// Consumes the store: its arrival/end vectors are sorted in place and its
-/// metrics move into per_session.
+/// SessionFarmResult.  Shared by the base farm and the fabric farm.  The
+/// store's begin and completion times must already be sorted per shard
+/// (sort_endpoints, over `bounds`); the exact peak sweeps those runs on
+/// the pool while the calling thread's share of the same parallel_for sums
+/// the churn reports and summarizes the metrics, both in global session
+/// order.  Consumes the store: its metrics move into per_session.
 SessionFarmResult aggregate_outcomes(const std::vector<ShardOutcome>& outcomes,
                                      FarmStore& store,
-                                     const SessionFarmOptions& options) {
+                                     std::span<const std::size_t> bounds,
+                                     const SessionFarmOptions& options,
+                                     ThreadPool& pool) {
   SessionFarmResult result;
   result.shards = outcomes.size();
   for (const ShardOutcome& outcome : outcomes) {
@@ -793,30 +980,15 @@ SessionFarmResult aggregate_outcomes(const std::vector<ShardOutcome>& outcomes,
   }
   // Summed in global session order, so the reduced report cannot depend on
   // the shard decomposition (floating-point addition is order-sensitive).
-  for (const protocols::ChurnReport& churn : store.churn) {
-    result.churn.absorb(churn);
-  }
-  // Exact global peak: sweep every session's [begin, completion] endpoints.
-  // A start at exactly an end's time counts as overlapping (starts first at
-  // ties), matching the in-simulator convention that a session is in
-  // flight from begin() through its completion event.
-  std::vector<double>& starts = store.arrival;
-  std::vector<double>& ends = store.end;
-  std::sort(starts.begin(), starts.end());
-  std::sort(ends.begin(), ends.end());
-  std::size_t active = 0;
-  std::size_t next_end = 0;
-  for (const double start : starts) {
-    while (next_end < ends.size() && ends[next_end] < start) {
-      --active;
-      ++next_end;
+  const auto in_session_order = [&result, &store] {
+    for (const protocols::ChurnReport& churn : store.churn) {
+      result.churn.absorb(churn);
     }
-    ++active;
-    result.peak_sessions_in_flight =
-        std::max(result.peak_sessions_in_flight, active);
-  }
+    result.summary = summarize_replicas(store.metrics);
+  };
+  result.peak_sessions_in_flight = peak_in_flight(
+      store.arrival, store.end, bounds, pool, in_session_order);
   result.sessions = store.metrics.size();
-  result.summary = summarize_replicas(store.metrics);
   if (options.keep_per_session) result.per_session = std::move(store.metrics);
   return result;
 }
@@ -913,8 +1085,9 @@ SessionFarmResult run_farm(ProtocolKind kind, const Run& run,
   run.validate();
 
   const std::size_t n = options.sessions;
-  const std::size_t shard_size = std::min(options.shard_size, n);
-  const std::size_t shards = (n + shard_size - 1) / shard_size;
+  const std::vector<std::size_t> bounds =
+      shard_bounds(n, n, std::min(options.shard_size, n));
+  const std::size_t shards = bounds.size() - 1;
 
   std::optional<ParallelSweep> local_engine;
   ParallelSweep* engine = options.engine;
@@ -932,14 +1105,17 @@ SessionFarmResult run_farm(ProtocolKind kind, const Run& run,
   FarmStore store(n, with_churn);
   std::vector<ShardOutcome> outcomes(shards);
   parallel_for(engine->pool(), shards, [&](std::size_t s) {
-    const std::size_t first = s * shard_size;
-    Shard<Session, Run> shard(kind, run, options, store, first,
-                              std::min(shard_size, n - first));
-    while (!shard.complete()) shard.advance_slice();
-    outcomes[s] = shard.finish();
+    {
+      Shard<Session, Run> shard(kind, run, options, store, bounds[s],
+                                bounds[s + 1] - bounds[s]);
+      while (!shard.complete()) shard.advance_slice();
+      outcomes[s] = shard.finish();
+    }
+    // The shard and its simulator's arrival stream over the slice are gone.
+    sort_endpoints(store, bounds[s], bounds[s + 1]);
   });
 
-  return aggregate_outcomes(outcomes, store, options);
+  return aggregate_outcomes(outcomes, store, bounds, options, engine->pool());
 }
 
 // ------------------------------------------------------ the fabric farm --
@@ -1180,7 +1356,7 @@ class RelaySession {
     metrics.session_length = end;  // relays live from t = 0
     metrics.raw_message_rate = end > 0.0 ? sent / end : 0.0;
     metrics.message_rate = metrics.raw_message_rate;
-    sink_.end[local_] = end;
+    sink_.end[sink_.completed] = end;
     sink_.messages += hub_.messages_sent();
     sink_.receiver_timeouts += hub_.soft_timeouts();
     sink_.relay_installs += hub_.installs();
@@ -1278,8 +1454,9 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind, const SingleHopRun& run,
   const std::size_t relays = options.shared_relays;
   const std::size_t shard_size = std::min(options.shard_size, n);
   const std::size_t sub_shards = (n + shard_size - 1) / shard_size;
-  const std::size_t relay_shards = (relays + shard_size - 1) / shard_size;
-  const std::size_t shards = sub_shards + relay_shards;
+  const std::vector<std::size_t> bounds =
+      shard_bounds(n, n + relays, shard_size);
+  const std::size_t shards = bounds.size() - 1;
   const FabricMap map{shard_size, n, sub_shards};
 
   // Materialize the rings from the static subscription map: subscriber i
@@ -1316,18 +1493,15 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind, const SingleHopRun& run,
   std::vector<std::unique_ptr<FabricShard>> shard_objs(shards);
   parallel_for(engine->pool(), workers, [&](std::size_t w) {
     for (std::size_t s = w; s < shards; s += workers) {
+      const std::size_t count = bounds[s + 1] - bounds[s];
       if (s < sub_shards) {
-        const std::size_t first = s * shard_size;
-        const std::size_t count = std::min(shard_size, n - first);
         shard_objs[s] = std::make_unique<SubscriberFabricShard>(
             kind, run, options, map, fabric, store,
-            static_cast<std::uint32_t>(s), first, count);
+            static_cast<std::uint32_t>(s), bounds[s], count);
       } else {
-        const std::size_t first = (s - sub_shards) * shard_size;
-        const std::size_t count = std::min(shard_size, relays - first);
         shard_objs[s] = std::make_unique<RelayFabricShard>(
             kind, run.params, options, map, fabric, store,
-            static_cast<std::uint32_t>(s), first, count);
+            static_cast<std::uint32_t>(s), bounds[s] - n, count);
       }
     }
   });
@@ -1374,12 +1548,15 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind, const SingleHopRun& run,
         [&](std::size_t phase) { return phase % 2 == 0 || negotiate(); });
   }
 
+  // Every shard is done: no simulator reads its arrival stream again.
   std::vector<ShardOutcome> outcomes(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
+  parallel_for(engine->pool(), shards, [&](std::size_t s) {
     outcomes[s] = shard_objs[s]->finish();
-  }
+    sort_endpoints(store, bounds[s], bounds[s + 1]);
+  });
   const std::uint64_t fabric_messages = fabric.total_pushed();
-  SessionFarmResult result = aggregate_outcomes(outcomes, store, options);
+  SessionFarmResult result =
+      aggregate_outcomes(outcomes, store, bounds, options, engine->pool());
   result.relay_sessions = relays;
   result.fabric_messages = fabric_messages;
   result.fabric_rings = fabric.rings();

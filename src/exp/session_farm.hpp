@@ -156,9 +156,10 @@ struct SessionFarmResult : FarmCounters {
   /// Latest session end time across shards (the simulated horizon).
   double horizon = 0.0;
   /// Peak number of sessions simultaneously in flight -- EXACT at any shard
-  /// size: the reduce step merges every session's [begin, completion]
-  /// interval endpoints across shards and sweeps them globally, so the
-  /// sharded value equals the single-shard truth (a test locks this).
+  /// size: each shard leaves its sessions' [begin, completion] endpoints as
+  /// two sorted runs, and the reduce sweeps all runs in parallel chunks of
+  /// the time axis (exp::peak_in_flight), so the sharded value equals the
+  /// single-shard truth (tests lock this).
   std::size_t peak_sessions_in_flight = 0;
   /// Leaf-churn outcome summed across sessions in global session order
   /// (all-zero when churn is disabled).

@@ -103,10 +103,6 @@ void LossConfig::validate() const {
   check_unit_interval(loss_bad, "loss_bad");
 }
 
-LossProcess::LossProcess(LossConfig config) : config_(config) {
-  config_.validate();
-}
-
 bool LossProcess::drop(const LossConfig& config, bool& bad,
                        Rng& rng) noexcept {
   if (config.model == LossModel::kIid) return rng.bernoulli(config.loss);
@@ -117,12 +113,6 @@ bool LossProcess::drop(const LossConfig& config, bool& bad,
   const double to_bad = bad ? 1.0 - config.p_bg : config.p_gb;
   bad = rng.bernoulli(to_bad);
   return rng.bernoulli(bad ? config.loss_bad : config.loss_good);
-}
-
-void LossProcess::set_loss(double loss) {
-  check_unit_interval(loss, "loss");
-  config_ = LossConfig::iid(loss);
-  bad_ = false;
 }
 
 DelayConfig DelayConfig::deterministic(double mean) {

@@ -6,12 +6,13 @@
 // and hard-state reliable retransmission very differently at the same
 // average loss rate.  This header factors both choices out of sim::Channel:
 //
-//  - LossConfig / LossProcess: iid Bernoulli (the paper's model, default)
-//    or a two-state Gilbert-Elliott Markov chain -- good/bad states with
-//    per-message transition probabilities p_gb/p_bg and per-state drop
-//    probabilities.  The GE stationary mean loss rate is computed with the
-//    markov/stationary GTH solver, so bursty-vs-iid comparisons can hold
-//    the average loss fixed while sweeping burst length.
+//  - LossConfig / LossProcess::drop: iid Bernoulli (the paper's model,
+//    default) or a two-state Gilbert-Elliott Markov chain -- good/bad
+//    states with per-message transition probabilities p_gb/p_bg and
+//    per-state drop probabilities.  The GE stationary mean loss rate is
+//    computed with the markov/stationary GTH solver, so bursty-vs-iid
+//    comparisons can hold the average loss fixed while sweeping burst
+//    length.
 //  - DelayConfig: deterministic/exponential as before, plus Pareto and
 //    lognormal heavy-tail laws reusing the Rng primitives (no bench-local
 //    sampling hacks).
@@ -78,29 +79,15 @@ struct LossConfig {
                          const LossConfig&) = default;  ///< field-wise equality
 };
 
-/// Stateful per-channel sampler of a LossConfig.  Each send advances the
-/// process one step and asks it whether the message is dropped.
+/// The loss process's step.  Not an object: each sim::Channel keeps its
+/// own Gilbert-Elliott state bit and steps the LossConfig of the link it
+/// runs, so every channel on one link reads one configuration.
 class LossProcess {
  public:
-  /// Lossless process (iid with probability 0).
-  LossProcess() = default;
+  LossProcess() = delete;
 
-  /// Validates the configuration (throws std::invalid_argument).
-  explicit LossProcess(LossConfig config);
-
-  /// The configuration this process samples.
-  [[nodiscard]] const LossConfig& config() const noexcept { return config_; }
-  /// True while the GE chain sits in its bad state (always false for iid).
-  [[nodiscard]] bool in_bad_state() const noexcept { return bad_; }
-
-  /// Advances the process by one message and returns whether it is dropped.
-  [[nodiscard]] bool drop(Rng& rng) noexcept {
-    return drop(config_, bad_, rng);
-  }
-
-  /// One step of `config`'s process whose GE state is `bad`: the step every
-  /// LossProcess and every sim::Channel takes, so channels can read one
-  /// shared configuration while each keeps its own state bit.
+  /// Advances `config`'s process, whose GE state is `bad`, by one message
+  /// and returns whether that message is dropped.
   ///
   /// GE steps the chain first and drops according to the *post-step* state.
   /// The next state is sampled as `u < P(bad | current)`, so the degenerate
@@ -109,15 +96,6 @@ class LossProcess {
   /// a bit-identical drop sequence under a shared seed.
   [[nodiscard]] static bool drop(const LossConfig& config, bool& bad,
                                  Rng& rng) noexcept;
-
-  /// Fault injection (blackhole a link, then heal it): replaces the process
-  /// with iid Bernoulli(loss).  Throws std::invalid_argument when `loss` is
-  /// outside [0, 1].
-  void set_loss(double loss);
-
- private:
-  LossConfig config_{};
-  bool bad_ = false;
 };
 
 /// Which delay law a channel draws per-message latencies from.

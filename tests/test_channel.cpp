@@ -125,6 +125,22 @@ TEST(Channel, SetLossMidRunChangesBehaviour) {
   EXPECT_EQ(ch.counters().lost, 1u);
 }
 
+TEST(Channel, SetLossSwitchesGeChannelToIidAndValidates) {
+  Simulator sim;
+  Rng rng(5);
+  int delivered = 0;
+  Channel<Packet> ch(sim, rng, LossConfig::gilbert_elliott(0.5, 0.5),
+                     DelayConfig::deterministic(0.01),
+                     [&](const Packet&) { ++delivered; });
+  ch.set_loss(0.0);
+  EXPECT_EQ(ch.loss_config().model, LossModel::kIid);
+  for (int i = 0; i < 100; ++i) ch.send({i});
+  sim.run();
+  EXPECT_EQ(ch.counters().lost, 0u);
+  EXPECT_EQ(delivered, 100);
+  EXPECT_THROW(ch.set_loss(1.5), std::invalid_argument);
+}
+
 TEST(Channel, SetSinkRewiresDelivery) {
   Simulator sim;
   Rng rng(7);

@@ -92,9 +92,11 @@ TEST(LossProcess, EmpiricalLossRateMatchesStationaryWithin95Ci) {
   constexpr int kDrawsPerReplica = 20000;
   for (int r = 0; r < kReplicas; ++r) {
     Rng rng(1234, static_cast<std::uint64_t>(r));
-    LossProcess process(config);
+    bool bad = false;
     int drops = 0;
-    for (int i = 0; i < kDrawsPerReplica; ++i) drops += process.drop(rng);
+    for (int i = 0; i < kDrawsPerReplica; ++i) {
+      drops += LossProcess::drop(config, bad, rng);
+    }
     blocks.add(static_cast<double>(drops) / kDrawsPerReplica);
   }
   const ConfidenceInterval ci = confidence_interval_95(blocks);
@@ -109,11 +111,11 @@ TEST(LossProcess, MeanBurstLengthScalesAsInversePbg) {
     const LossConfig config =
         LossConfig::gilbert_elliott_matched(0.05, 1.0 / p_bg);
     Rng rng(77);
-    LossProcess process(config);
+    bool bad = false;
     std::vector<int> bursts;
     int current = 0;
     for (int i = 0; i < 400000; ++i) {
-      if (process.drop(rng)) {
+      if (LossProcess::drop(config, bad, rng)) {
         ++current;
       } else if (current > 0) {
         bursts.push_back(current);
@@ -135,22 +137,17 @@ TEST(LossProcess, DegenerateGeIsBitIdenticalToIid) {
   const double p = 0.13;
   Rng rng_iid(2024);
   Rng rng_ge(2024);
-  LossProcess iid(LossConfig::iid(p));
-  LossProcess ge(LossConfig::gilbert_elliott(p, 1.0 - p, 1.0, 0.0));
+  const LossConfig iid = LossConfig::iid(p);
+  const LossConfig ge = LossConfig::gilbert_elliott(p, 1.0 - p, 1.0, 0.0);
+  bool iid_bad = false;
+  bool ge_bad = false;
   for (int i = 0; i < 100000; ++i) {
-    ASSERT_EQ(iid.drop(rng_iid), ge.drop(rng_ge)) << "draw " << i;
+    ASSERT_EQ(LossProcess::drop(iid, iid_bad, rng_iid),
+              LossProcess::drop(ge, ge_bad, rng_ge))
+        << "draw " << i;
   }
   // The underlying generators stayed in lockstep, too.
   EXPECT_EQ(rng_iid.next_u64(), rng_ge.next_u64());
-}
-
-TEST(LossProcess, SetLossSwitchesToIidAndValidates) {
-  LossProcess process(LossConfig::gilbert_elliott(0.5, 0.5));
-  process.set_loss(0.0);
-  EXPECT_EQ(process.config().model, LossModel::kIid);
-  Rng rng(5);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(process.drop(rng));
-  EXPECT_THROW(process.set_loss(1.5), std::invalid_argument);
 }
 
 TEST(DelayConfig, LegacyBridgeMatchesSampleHelper) {

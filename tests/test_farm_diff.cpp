@@ -288,8 +288,10 @@ TEST(FarmDiff, ChurnFreeFarmsReportNoChurn) {
 // ------------------------------------------------------- exact peak lock --
 
 /// The peak fix: a single-shard farm's in-simulator peak is exact ground
-/// truth, and the production farm's merged-interval sweep must reproduce it
-/// at ANY shard size (where the reference's summed bound only exceeds it).
+/// truth, and the production farm's sweep over per-shard sorted runs must
+/// reproduce it at ANY shard size (where the reference's summed bound only
+/// exceeds it) -- down to shard size 1, 150 runs of one session each, and
+/// at more threads than the sweep has chunks.
 TEST(FarmDiff, ShardedPeakEqualsSingleShardTruthSingleHop) {
   SessionFarmOptions single = diff_farm();
   single.sessions = 150;
@@ -297,14 +299,18 @@ TEST(FarmDiff, ShardedPeakEqualsSingleShardTruthSingleHop) {
   single.shard_size = single.sessions;
   const SessionFarmResult truth = testing::run_reference_session_farm(
       ProtocolKind::kSS, SingleHopParams::kazaa_defaults(), single);
-  for (const std::size_t shard_size : kShardSizes) {
-    SessionFarmOptions sharded = single;
-    sharded.shard_size = shard_size;
-    sharded.threads = 2;
-    const SessionFarmResult arena = run_session_farm(
-        ProtocolKind::kSS, SingleHopParams::kazaa_defaults(), sharded);
-    EXPECT_EQ(arena.peak_sessions_in_flight, truth.peak_sessions_in_flight)
-        << "shard_size=" << shard_size;
+  for (const std::size_t threads : {2u, 8u}) {
+    for (const std::size_t shard_size : {std::size_t{1}, kShardSizes[0],
+                                         kShardSizes[1], kShardSizes[2]}) {
+      SessionFarmOptions sharded = single;
+      sharded.shard_size = shard_size;
+      sharded.threads = threads;
+      const SessionFarmResult arena = run_session_farm(
+          ProtocolKind::kSS, SingleHopParams::kazaa_defaults(), sharded);
+      EXPECT_EQ(arena.shards, (single.sessions + shard_size - 1) / shard_size);
+      EXPECT_EQ(arena.peak_sessions_in_flight, truth.peak_sessions_in_flight)
+          << "shard_size=" << shard_size << " threads=" << threads;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 // the CI TSan leg picks them up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <latch>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 
 #include "core/params.hpp"
 #include "core/protocol.hpp"
+#include "core/rng_streams.hpp"
 #include "exp/parallel.hpp"
 #include "exp/session_farm.hpp"
 #include "protocols/message.hpp"
@@ -209,6 +211,60 @@ TEST(SharedRelayFarm, ElementWiseIdenticalAcrossThreadsAndShardSizes) {
   const SessionFarmResult recycled =
       run_session_farm(ProtocolKind::kSS, params, one_shard);
   EXPECT_LT(recycled.arena_slot_high_water, one_shard.sessions);
+}
+
+TEST(SharedRelayFarm, PeakCountsEveryRelayFromTimeZero) {
+  // Every relay begins at t = 0, so the relays' starts tie, within a relay
+  // shard and across relay shards.  The farm's sweep over per-shard sorted
+  // runs must match a global sort of every session's [begin, completion]
+  // interval.  The oracle's intervals come from per-session results: a
+  // relay's session_length is its completion time, and a subscriber's
+  // begin is the first draw of its kSessionLifecycle stream (the draw the
+  // farm makes), its completion that plus its session_length.
+  const SingleHopParams params = SingleHopParams::kazaa_defaults();
+  const SessionFarmOptions base = recycling_relay_farm();
+  const SessionFarmResult golden =
+      run_session_farm(ProtocolKind::kSS, params, base);
+  ASSERT_EQ(golden.per_session.size(), base.sessions + base.shared_relays);
+  const double window =
+      static_cast<double>(base.sessions) / base.arrival_rate;
+  std::vector<double> starts;
+  std::vector<double> ends;
+  for (std::size_t g = 0; g < golden.per_session.size(); ++g) {
+    double start = 0.0;
+    if (g < base.sessions) {
+      sim::Rng lifecycle(replica_seed(base.seed, g, 0),
+                         rng::kSessionLifecycle);
+      start = window * lifecycle.uniform();
+    }
+    starts.push_back(start);
+    ends.push_back(start + golden.per_session[g].session_length);
+  }
+  std::sort(starts.begin(), starts.end());
+  std::sort(ends.begin(), ends.end());
+  std::size_t active = 0;
+  std::size_t peak = 0;
+  std::size_t next_end = 0;
+  for (const double start : starts) {
+    while (next_end < ends.size() && ends[next_end] < start) {
+      --active;
+      ++next_end;
+    }
+    peak = std::max(peak, ++active);
+  }
+  // The relays outlive the arrival window, so they are all in the peak.
+  EXPECT_GT(peak, base.shared_relays);
+  for (const std::size_t threads : {1u, 8u}) {
+    for (const std::size_t shard_size : {7u, 4096u}) {
+      SessionFarmOptions options = base;
+      options.threads = threads;
+      options.shard_size = shard_size;
+      const SessionFarmResult result =
+          run_session_farm(ProtocolKind::kSS, params, options);
+      EXPECT_EQ(result.peak_sessions_in_flight, peak)
+          << "threads=" << threads << " shard_size=" << shard_size;
+    }
+  }
 }
 
 TEST(SharedRelayFarm, BitIdenticalAcrossEventQueueBackends) {
