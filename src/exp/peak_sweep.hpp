@@ -1,12 +1,11 @@
 // Exact peak of sessions in flight, swept in parallel from per-shard
-// sorted endpoint runs: the part of the farm's final reduce that used to
-// sort every session's begin and completion times globally on the calling
-// thread.  Defined in session_farm.cpp, beside the reduce that calls it;
-// declared here so tests can drive it on hand-built runs.
+// sorted endpoint runs, so the farm's final reduce needs no global sort of
+// every session's begin and completion times.  Defined in session_farm.cpp,
+// beside the reduce that calls it; declared here so tests can drive it on
+// hand-built runs.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 
 #include "exp/thread_pool.hpp"
@@ -25,15 +24,17 @@ namespace sigcomp::exp {
 /// sorted on its own, so a run's i-th start and i-th end need not belong to
 /// one session.
 ///
-/// No global sort and no O(N) buffer: the time axis is cut into chunks at
-/// sampled start times and the chunks run through parallel_for.  Each chunk
-/// takes its in-flight count at its left edge from binary searches over
-/// every run, then merges and sweeps only its own sub-runs.  The result is
-/// exact, whatever the pool size.  `alongside`, when set, runs as one more
-/// item of that parallel_for (the reduce's other serial work).
-[[nodiscard]] std::size_t peak_in_flight(
-    std::span<const double> starts, std::span<const double> ends,
-    std::span<const std::size_t> bounds, ThreadPool& pool,
-    const std::function<void()>& alongside = {});
+/// Runs shorter than kSweepChunk (4,096) sessions are first sorted
+/// together in place, adjacent runs at a time, so `starts` and `ends` may
+/// come back reordered within such groups.  Then the time axis is cut into
+/// chunks of about that many starts at sampled start times, and the chunks
+/// run through parallel_for: each takes its in-flight count at its left
+/// edge from binary searches over every group, then merges and sweeps only
+/// its own sub-runs.  No global sort, and scratch per chunk, not per
+/// session.  The result is exact, whatever the shard and pool sizes.
+[[nodiscard]] std::size_t peak_in_flight(std::span<double> starts,
+                                         std::span<double> ends,
+                                         std::span<const std::size_t> bounds,
+                                         ThreadPool& pool);
 
 }  // namespace sigcomp::exp

@@ -65,6 +65,7 @@
 #include "exp/session_farm.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -94,9 +95,10 @@ namespace sigcomp::exp {
 
 namespace {
 
-/// Starts per sweep chunk that the chunk count aims at: enough to pay for
-/// a chunk's binary searches over every run, few enough that a farm's
-/// reduce spreads over the pool.
+/// Starts per sweep chunk that the chunk count aims at, and the fewest
+/// sessions in a group of adjacent runs: enough to pay for a chunk's
+/// binary searches over every group, few enough that a farm's reduce
+/// spreads over the pool.
 constexpr std::size_t kSweepChunk = 4096;
 
 /// Start times sampled per chunk to place the chunk edges.
@@ -186,27 +188,55 @@ std::size_t chunk_peak(std::span<const double> starts,
 
 }  // namespace
 
-std::size_t peak_in_flight(std::span<const double> starts,
-                           std::span<const double> ends,
+std::size_t peak_in_flight(std::span<double> starts, std::span<double> ends,
                            std::span<const std::size_t> bounds,
-                           ThreadPool& pool,
-                           const std::function<void()>& alongside) {
+                           ThreadPool& pool) {
   const std::size_t total = starts.size();
-  const std::size_t runs = std::max<std::size_t>(1, bounds.size() - 1);
-  // Every chunk binary-searches every run, so there are no more chunks
-  // than the runs are long on average.
-  const std::size_t chunks =
-      std::max<std::size_t>(1, std::min(total / kSweepChunk, total / runs));
-  // Chunk edges at evenly spaced ranks of a sample of the starts.  The
-  // sample positions are evenly spaced over the runs laid end to end, so
-  // each run gives its share at evenly spaced ranks of its own, and the
+  if (total == 0) return 0;
+  // Every chunk binary-searches every run, so runs shorter than a chunk
+  // are first sorted together in place, adjacent ones at a time, into
+  // groups of at least kSweepChunk sessions.  That keeps the chunk count
+  // near total / kSweepChunk and the sweep's scratch per chunk whatever
+  // the shard size; a run that long is a group of its own, left as it is.
+  std::vector<std::size_t> group_runs{0};  // the first run of each group
+  for (std::size_t r = 1; r < bounds.size(); ++r) {
+    if (bounds[r] - bounds[group_runs.back()] >= kSweepChunk ||
+        r + 1 == bounds.size()) {
+      group_runs.push_back(r);
+    }
+  }
+  std::vector<std::size_t> groups;
+  for (const std::size_t r : group_runs) groups.push_back(bounds[r]);
+  const std::size_t group_count = groups.size() - 1;
+  if (group_count + 1 < bounds.size()) {
+    parallel_for(pool, group_count, [&](std::size_t g) {
+      if (group_runs[g + 1] - group_runs[g] == 1) return;
+      const std::size_t first = groups[g];
+      const std::size_t count = groups[g + 1] - first;
+      std::ranges::sort(starts.subspan(first, count));
+      std::ranges::sort(ends.subspan(first, count));
+    });
+  }
+  // No more chunks than the groups are long on average.
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min(total / kSweepChunk, total / group_count));
+  // Chunk edges at evenly spaced ranks of a sample of the starts: one
+  // start from each of sample.size() equal strides of the runs laid end to
+  // end, at a golden-ratio offset into its stride.  Runs that overlap in
+  // time then give their samples at different ranks of their own, not all
+  // at the same few, so the sample spreads like a random one and the
   // chunks hold about as many starts each.
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kGolden = 0.6180339887498949;
   std::vector<double> edges{-kInf};
   if (chunks > 1) {
     std::vector<double> sample(chunks * kSweepSamples);
+    const double stride =
+        static_cast<double>(total) / static_cast<double>(sample.size());
     for (std::size_t i = 0; i < sample.size(); ++i) {
-      sample[i] = starts[(2 * i + 1) * total / (2 * sample.size())];
+      const double offset = std::fmod(kGolden * static_cast<double>(i), 1.0);
+      sample[i] = starts[static_cast<std::size_t>(
+          (static_cast<double>(i) + offset) * stride)];
     }
     std::sort(sample.begin(), sample.end());
     for (std::size_t c = 1; c < chunks; ++c) {
@@ -216,14 +246,8 @@ std::size_t peak_in_flight(std::span<const double> starts,
   edges.push_back(kInf);
 
   std::vector<std::size_t> peaks(chunks, 0);
-  const std::size_t extra = alongside ? 1 : 0;
-  parallel_for(pool, extra + chunks, [&](std::size_t i) {
-    if (i < extra) {
-      alongside();
-      return;
-    }
-    const std::size_t c = i - extra;
-    peaks[c] = chunk_peak(starts, ends, bounds, edges[c], edges[c + 1]);
+  parallel_for(pool, chunks, [&](std::size_t c) {
+    peaks[c] = chunk_peak(starts, ends, groups, edges[c], edges[c + 1]);
   });
   return *std::max_element(peaks.begin(), peaks.end());
 }
@@ -934,32 +958,24 @@ std::vector<std::size_t> shard_bounds(std::size_t sessions,
   return bounds;
 }
 
-/// Sorts a finished shard's slices of the store's begin and completion
-/// times, on the thread that ran the shard, into the runs peak_in_flight
-/// sweeps.  Call once the shard's simulator no longer reads its arrival
-/// stream; nothing reads the begin times by session after that.  The
-/// completion times arrive in completion order, which is time order, so
-/// they are only checked: a tree session with teardown records its window
-/// end one fixed grace period late, which keeps the order.
-void sort_endpoints(FarmStore& store, std::size_t first, std::size_t past) {
-  const std::size_t count = past - first;
-  const std::span<double> arrival =
-      std::span(store.arrival).subspan(first, count);
-  const std::span<double> end = std::span(store.end).subspan(first, count);
-  std::sort(arrival.begin(), arrival.end());
-  if (!std::is_sorted(end.begin(), end.end())) {
-    std::sort(end.begin(), end.end());
-  }
+/// Sorts a finished shard's slice of the store's begin times, on the
+/// thread that ran the shard, into the run peak_in_flight sweeps.  Call
+/// once the shard's simulator no longer reads it as its arrival stream;
+/// nothing reads the begin times by session after that.  The slice of
+/// completion times is a sorted run already: sessions append them in
+/// completion order, and a tree session with teardown, which completes one
+/// fixed grace period after its window end, records that window end.
+void sort_begin_times(FarmStore& store, std::size_t first, std::size_t past) {
+  std::ranges::sort(std::span(store.arrival).subspan(first, past - first));
 }
 
 /// Reduces the completed farm -- shard counters in shard order, per-session
 /// results straight from the store in global session order -- into a
 /// SessionFarmResult.  Shared by the base farm and the fabric farm.  The
 /// store's begin and completion times must already be sorted per shard
-/// (sort_endpoints, over `bounds`); the exact peak sweeps those runs on
-/// the pool while the calling thread's share of the same parallel_for sums
-/// the churn reports and summarizes the metrics, both in global session
-/// order.  Consumes the store: its metrics move into per_session.
+/// (sort_begin_times, over `bounds`); the exact peak sweeps those runs on
+/// the pool.  Consumes the store: the sweep may reorder its begin and
+/// completion times, and its metrics move into per_session.
 SessionFarmResult aggregate_outcomes(const std::vector<ShardOutcome>& outcomes,
                                      FarmStore& store,
                                      std::span<const std::size_t> bounds,
@@ -980,15 +996,13 @@ SessionFarmResult aggregate_outcomes(const std::vector<ShardOutcome>& outcomes,
   }
   // Summed in global session order, so the reduced report cannot depend on
   // the shard decomposition (floating-point addition is order-sensitive).
-  const auto in_session_order = [&result, &store] {
-    for (const protocols::ChurnReport& churn : store.churn) {
-      result.churn.absorb(churn);
-    }
-    result.summary = summarize_replicas(store.metrics);
-  };
-  result.peak_sessions_in_flight = peak_in_flight(
-      store.arrival, store.end, bounds, pool, in_session_order);
+  for (const protocols::ChurnReport& churn : store.churn) {
+    result.churn.absorb(churn);
+  }
+  result.peak_sessions_in_flight =
+      peak_in_flight(store.arrival, store.end, bounds, pool);
   result.sessions = store.metrics.size();
+  result.summary = summarize_replicas(store.metrics);
   if (options.keep_per_session) result.per_session = std::move(store.metrics);
   return result;
 }
@@ -1112,7 +1126,7 @@ SessionFarmResult run_farm(ProtocolKind kind, const Run& run,
       outcomes[s] = shard.finish();
     }
     // The shard and its simulator's arrival stream over the slice are gone.
-    sort_endpoints(store, bounds[s], bounds[s + 1]);
+    sort_begin_times(store, bounds[s], bounds[s + 1]);
   });
 
   return aggregate_outcomes(outcomes, store, bounds, options, engine->pool());
@@ -1552,7 +1566,7 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind, const SingleHopRun& run,
   std::vector<ShardOutcome> outcomes(shards);
   parallel_for(engine->pool(), shards, [&](std::size_t s) {
     outcomes[s] = shard_objs[s]->finish();
-    sort_endpoints(store, bounds[s], bounds[s + 1]);
+    sort_begin_times(store, bounds[s], bounds[s + 1]);
   });
   const std::uint64_t fabric_messages = fabric.total_pushed();
   SessionFarmResult result =

@@ -329,5 +329,31 @@ TEST(FarmDiff, ShardedPeakEqualsSingleShardTruthTree) {
   EXPECT_EQ(arena.peak_sessions_in_flight, truth.peak_sessions_in_flight);
 }
 
+/// With teardown a tree session completes one grace period after its
+/// window end but records the window end, so a shard's completion times,
+/// appended in completion order, must still form a sorted run.  Shards of
+/// one session give sorted runs whatever the order, so they are the
+/// reference here.  (The farm's peak counts a session to its window end,
+/// so with teardown it is below the single-shard in-simulator peak, which
+/// counts the grace period too.)
+TEST(FarmDiff, ShardedPeakWithTeardownMatchesOneSessionShards) {
+  const analytic::TreeParams params =
+      analytic::TreeParams::balanced(diff_hop_params(), 2, 2);
+  SessionFarmOptions options = diff_farm();
+  options.teardown = true;
+  options.threads = 2;
+  options.shard_size = 1;
+  const std::size_t expected =
+      run_session_farm(ProtocolKind::kSSRT, params, options)
+          .peak_sessions_in_flight;
+  for (const std::size_t shard_size : {std::size_t{7}, options.sessions}) {
+    options.shard_size = shard_size;
+    EXPECT_EQ(run_session_farm(ProtocolKind::kSSRT, params, options)
+                  .peak_sessions_in_flight,
+              expected)
+        << "shard_size=" << shard_size;
+  }
+}
+
 }  // namespace
 }  // namespace sigcomp::exp

@@ -78,7 +78,7 @@ std::size_t naive_peak(const std::vector<std::vector<Interval>>& runs) {
 
 std::size_t swept_peak(const std::vector<std::vector<Interval>>& runs,
                        std::size_t threads) {
-  const Runs laid = lay_out(runs);
+  Runs laid = lay_out(runs);
   ThreadPool pool(threads);
   return peak_in_flight(laid.starts, laid.ends, laid.bounds, pool);
 }
@@ -141,41 +141,36 @@ TEST(PeakSweep, MoreRunsThanThreads) {
 TEST(PeakSweep, RandomTiedRunsMatchTheOracle) {
   // Times on a coarse grid, so starts tie with starts and with ends inside
   // runs, across runs and across chunk edges; sizes large enough to cut
-  // the time axis into many chunks.  Run lengths vary, and some are empty.
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    sim::Rng rng(seed, 0);
-    std::vector<std::vector<Interval>> runs;
-    std::size_t total = 0;
-    while (total < 60000) {
-      const auto length =
-          static_cast<std::size_t>(rng.uniform() * 3000.0) * (runs.size() % 7);
-      std::vector<Interval> run;
-      for (std::size_t i = 0; i < length; ++i) {
-        const double start = static_cast<double>(
-            static_cast<int>(rng.uniform() * 400.0));
-        const double span = static_cast<double>(
-            static_cast<int>(rng.exponential(10.0)));
-        run.push_back({start, start + span});
+  // the time axis into many chunks.  Run lengths vary, and some are empty:
+  // up to 18,000 sessions, or up to 6, which the sweep sorts together in
+  // groups of adjacent runs before it cuts the chunks.
+  for (const double unit : {3000.0, 2.0}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      sim::Rng rng(seed, 0);
+      std::vector<std::vector<Interval>> runs;
+      std::size_t total = 0;
+      while (total < 60000) {
+        const auto length =
+            static_cast<std::size_t>(rng.uniform() * unit) * (runs.size() % 7);
+        std::vector<Interval> run;
+        for (std::size_t i = 0; i < length; ++i) {
+          const double start = static_cast<double>(
+              static_cast<int>(rng.uniform() * 400.0));
+          const double span = static_cast<double>(
+              static_cast<int>(rng.exponential(10.0)));
+          run.push_back({start, start + span});
+        }
+        total += length;
+        runs.push_back(std::move(run));
       }
-      total += length;
-      runs.push_back(std::move(run));
-    }
-    const std::size_t expected = naive_peak(runs);
-    for (const std::size_t threads : {1u, 3u, 8u}) {
-      EXPECT_EQ(swept_peak(runs, threads), expected)
-          << "seed " << seed << ", " << threads << " threads";
+      const std::size_t expected = naive_peak(runs);
+      for (const std::size_t threads : {1u, 3u, 8u}) {
+        EXPECT_EQ(swept_peak(runs, threads), expected)
+            << "unit " << unit << ", seed " << seed << ", " << threads
+            << " threads";
+      }
     }
   }
-}
-
-TEST(PeakSweep, AlongsideRunsOnceWithTheSweep) {
-  const Runs laid = lay_out({{{0.0, 1.0}, {0.5, 2.0}}, {{1.5, 3.0}}});
-  ThreadPool pool(4);
-  int calls = 0;
-  EXPECT_EQ(peak_in_flight(laid.starts, laid.ends, laid.bounds, pool,
-                           [&calls] { ++calls; }),
-            2u);
-  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // per-edge allocations should fail here, not only in a benchmark run.
 // FarmFootprint bounds the peak bytes a whole farm holds at once: a thread
 // keeps one shard of sessions live at a time, so adding shards adds only
-// their slice of the farm-wide result store.
+// their slice of the farm-wide result store; and the reduce's exact peak
+// sweep needs scratch per chunk, not per session, at any shard size.
 //
 // Counting replaces the global operator new/delete of this test binary,
 // over-aligned forms included: each block carries a small header with its
@@ -20,12 +21,15 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <numeric>
+#include <vector>
 
 #include "analytic/tree_paths.hpp"
 #include "core/metrics.hpp"
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "exp/parallel.hpp"
+#include "exp/peak_sweep.hpp"
 #include "exp/session_farm.hpp"
 #include "protocols/membership.hpp"
 #include "protocols/scenario.hpp"
@@ -250,6 +254,39 @@ TEST(FarmFootprint, OneThreadHoldsOneShardOfSessionsAtATime) {
     // The bound means something: one shard alone holds more than the slack.
     EXPECT_GT(one, kSlack) << sim::to_string(queue);
   }
+}
+
+TEST(FarmFootprint, PeakSweepOverOneSessionShardsHoldsChunkScratchOnly) {
+  // A shard_size = 1 farm's store: 131,072 runs of one session each.  The
+  // sweep sorts short runs together in place into groups of 4,096 or more
+  // and gives each chunk about 4,096 starts, so its heap peak is a few
+  // chunks' scratch.  Sweeping such runs as one chunk holds about 32 B per
+  // session, 4 MiB here.
+  constexpr std::size_t kSessions = std::size_t{1} << 17;
+  constexpr std::ptrdiff_t kScratch = 512 * 1024;
+  sim::Rng rng(11, 0);
+  std::vector<double> starts(kSessions);
+  std::vector<double> ends(kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    starts[i] = rng.uniform() * 400.0;
+    ends[i] = starts[i] + rng.exponential(10.0);
+  }
+  // The same sessions as one sorted run.
+  std::vector<double> one_run_starts = starts;
+  std::vector<double> one_run_ends = ends;
+  std::ranges::sort(one_run_starts);
+  std::ranges::sort(one_run_ends);
+  const std::vector<std::size_t> one_run{0, kSessions};
+  std::vector<std::size_t> bounds(kSessions + 1);
+  std::iota(bounds.begin(), bounds.end(), std::size_t{0});
+  // One pool thread: the sweep runs on the calling thread, where the
+  // counting happens.
+  exp::ThreadPool pool(1);
+  const std::size_t expected =
+      exp::peak_in_flight(one_run_starts, one_run_ends, one_run, pool);
+  CountingScope scope;
+  EXPECT_EQ(exp::peak_in_flight(starts, ends, bounds, pool), expected);
+  EXPECT_LE(scope.peak_bytes(), kScratch);
 }
 
 }  // namespace
