@@ -8,14 +8,14 @@
 #include <iostream>
 #include <vector>
 
-#include "analytic/hetero_multi_hop.hpp"
+#include "analytic/multi_hop.hpp"
 #include "exp/parallel.hpp"
 #include "exp/table.hpp"
 
 int main(int argc, char** argv) try {
   using namespace sigcomp;
-  using analytic::HeteroMultiHopModel;
-  using analytic::HeteroMultiHopParams;
+  using analytic::MultiHopModel;
+  using analytic::PathParams;
 
   MultiHopParams base = MultiHopParams::reservation_defaults();
   base.hops = 10;
@@ -38,11 +38,11 @@ int main(int argc, char** argv) try {
   exp::ParallelSweep sweep(exp::threads_from_args(argc, argv));
   const std::vector<Row> rows =
       sweep.map(bad_positions, [&base](std::size_t bad) {
-        HeteroMultiHopParams p = HeteroMultiHopParams::from_homogeneous(base);
+        PathParams p = PathParams::from_homogeneous(base);
         if (bad >= 1) p.loss[bad - 1] = 0.2;
         Row row;
         for (const ProtocolKind kind : kPaperMultiHopProtocols) {
-          const HeteroMultiHopModel model(kind, p);
+          const MultiHopModel model(kind, p);
           row.inconsistency.push_back(model.inconsistency());
           row.rate.push_back(model.metrics().raw_message_rate);
           if (kind == ProtocolKind::kSS) {

@@ -21,9 +21,11 @@ int main(int argc, char** argv) {
 
   const MultiHopParams params = MultiHopParams::reservation_defaults();
 
+  const analytic::PathParams path =
+      analytic::PathParams::from_homogeneous(params);
   std::vector<analytic::MultiHopModel> models;
   for (const ProtocolKind kind : kPaperMultiHopProtocols) {
-    models.emplace_back(kind, params);
+    models.emplace_back(kind, path);
   }
   std::vector<protocols::TreeSimResult> sims;
   if (with_sim) {

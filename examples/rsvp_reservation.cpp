@@ -34,8 +34,9 @@ int main() {
       {"protocol", "analogue", "I path (model)", "I path (sim)",
        "I last hop (model)", "msgs/s (model)", "msgs/s (sim)"});
 
+  const analytic::PathParams path = analytic::PathParams::from_homogeneous(p);
   const auto row = [&](ProtocolKind kind, const char* analogue) {
-    const analytic::MultiHopModel model(kind, p);
+    const analytic::MultiHopModel model(kind, path);
     const protocols::TreeSimResult sim = evaluate_simulated(kind, p, options);
     table.add_row({std::string(to_string(kind)), std::string(analogue),
                    model.inconsistency(), sim.metrics.inconsistency,
@@ -53,9 +54,9 @@ int main() {
   std::cout << '\n';
   exp::Table perhop("Per-hop fraction of time the reservation is stale (model)",
                     {"hop", "SS", "SS+RT", "HS"});
-  const analytic::MultiHopModel ss(ProtocolKind::kSS, p);
-  const analytic::MultiHopModel ssrt(ProtocolKind::kSSRT, p);
-  const analytic::MultiHopModel hs(ProtocolKind::kHS, p);
+  const analytic::MultiHopModel ss(ProtocolKind::kSS, path);
+  const analytic::MultiHopModel ssrt(ProtocolKind::kSSRT, path);
+  const analytic::MultiHopModel hs(ProtocolKind::kHS, path);
   for (std::size_t hop = 1; hop <= p.hops; ++hop) {
     perhop.add_row({static_cast<double>(hop), ss.hop_inconsistency(hop),
                     ssrt.hop_inconsistency(hop), hs.hop_inconsistency(hop)});

@@ -2,34 +2,96 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "markov/stationary.hpp"
 
 namespace sigcomp::analytic {
 
-double MultiHopModel::timeout_rate(const MultiHopParams& params, std::size_t j) {
-  const double q = 1.0 - params.loss;
+PathParams PathParams::from_homogeneous(const MultiHopParams& params) {
+  params.validate();
+  PathParams out;
+  out.loss.assign(params.hops, params.loss);
+  out.delay.assign(params.hops, params.delay);
+  out.update_rate = params.update_rate;
+  out.refresh_timer = params.refresh_timer;
+  out.timeout_timer = params.timeout_timer;
+  out.retrans_timer = params.retrans_timer;
+  out.false_signal_rate = params.false_signal_rate;
+  return out;
+}
+
+double PathParams::survival_through(std::size_t k) const {
+  if (k > loss.size()) {
+    throw std::out_of_range("PathParams::survival_through");
+  }
+  double p = 1.0;
+  for (std::size_t i = 0; i < k; ++i) p *= 1.0 - loss[i];
+  return p;
+}
+
+double PathParams::expected_hop_transmissions() const {
+  double expected = 0.0;
+  for (std::size_t i = 0; i < hops(); ++i) expected += survival_through(i);
+  return expected;
+}
+
+double PathParams::recovery_rate() const {
+  const double path_delay = std::accumulate(delay.begin(), delay.end(), 0.0);
+  return 1.0 / (2.0 * path_delay);
+}
+
+void PathParams::validate() const {
+  if (loss.empty()) {
+    throw std::invalid_argument("PathParams: at least one hop required");
+  }
+  if (loss.size() != delay.size()) {
+    throw std::invalid_argument(
+        "PathParams: loss and delay vectors must have equal size");
+  }
+  for (const double pl : loss) {
+    if (!std::isfinite(pl) || pl < 0.0 || pl >= 1.0) {
+      throw std::invalid_argument("PathParams: loss must be in [0, 1)");
+    }
+  }
+  for (const double d : delay) {
+    if (!std::isfinite(d) || d <= 0.0) {
+      throw std::invalid_argument("PathParams: delay must be > 0");
+    }
+  }
+  if (!std::isfinite(update_rate) || update_rate < 0.0) {
+    throw std::invalid_argument("PathParams: update_rate must be >= 0");
+  }
+  for (const double timer : {refresh_timer, timeout_timer, retrans_timer}) {
+    if (!std::isfinite(timer) || timer <= 0.0) {
+      throw std::invalid_argument("PathParams: timers must be > 0");
+    }
+  }
+  if (!std::isfinite(false_signal_rate) || false_signal_rate < 0.0) {
+    throw std::invalid_argument("PathParams: false_signal_rate must be >= 0");
+  }
+}
+
+double MultiHopModel::timeout_rate(const PathParams& params, std::size_t j) {
   const double exponent = params.timeout_timer / params.refresh_timer;
-  const double upper = std::pow(1.0 - std::pow(q, static_cast<double>(j + 1)), exponent);
+  const double upper = std::pow(1.0 - params.survival_through(j + 1), exponent);
   const double lower =
-      j == 0 ? 0.0 : std::pow(1.0 - std::pow(q, static_cast<double>(j)), exponent);
+      j == 0 ? 0.0 : std::pow(1.0 - params.survival_through(j), exponent);
   return std::max(0.0, upper - lower) / params.timeout_timer;
 }
 
-MultiHopModel::MultiHopModel(ProtocolKind kind, const MultiHopParams& params)
-    : kind_(kind), params_(params) {
+MultiHopModel::MultiHopModel(ProtocolKind kind, PathParams params)
+    : kind_(kind), params_(std::move(params)) {
   params_.validate();
-  if (!supports_multi_hop(kind)) {
+  if (!supports_multi_hop(kind_)) {
     throw std::invalid_argument("MultiHopModel: unsupported protocol " +
-                                std::string(to_string(kind)));
+                                std::string(to_string(kind_)));
   }
   const MechanismSet mech = mechanisms(kind_);
-  const std::size_t k_hops = params_.hops;
-  const double pl = params_.loss;
-  const double q = 1.0 - pl;
-  const double d = params_.delay;
+  const std::size_t k_hops = params_.hops();
 
   for (std::size_t k = 0; k <= k_hops; ++k) {
     fast_.push_back(chain_.add_state("(" + std::to_string(k) + ",fast)"));
@@ -42,29 +104,31 @@ MultiHopModel::MultiHopModel(ProtocolKind kind, const MultiHopParams& params)
     has_recovery_ = true;
   }
 
-  // --- Fast path: the in-flight trigger either crosses the next hop or is
-  // lost there.
+  // --- Fast path: the in-flight trigger either crosses hop k+1 or is lost
+  // there; hop k+1 has its own loss and delay.
   for (std::size_t k = 0; k < k_hops; ++k) {
-    chain_.add_rate(fast_[k], fast_[k + 1], q / d);
+    const double pl = params_.loss[k];
+    const double d = params_.delay[k];
+    chain_.add_rate(fast_[k], fast_[k + 1], (1.0 - pl) / d);
     chain_.add_rate(fast_[k], slow_[k], pl / d);
   }
 
-  // --- Slow path repair (Eqs. 10-11): a refresh must survive k+1 hops to
-  // repair hop k+1; a hop-local retransmission must survive one hop.
+  // --- Slow path repair (Eqs. 10-11): a refresh must survive hops 1..k+1
+  // to repair hop k+1; a hop-local retransmission must survive hop k+1.
   for (std::size_t k = 0; k < k_hops; ++k) {
     double repair = 0.0;
     if (mech.refresh) {
-      repair += std::pow(q, static_cast<double>(k + 1)) / params_.refresh_timer;
+      repair += params_.survival_through(k + 1) / params_.refresh_timer;
     }
     if (mech.reliable_trigger) {
-      repair += q / params_.retrans_timer;
+      repair += (1.0 - params_.loss[k]) / params_.retrans_timer;
     }
     chain_.add_rate(slow_[k], fast_[k + 1], repair);
   }
 
   // --- Updates: a new value restarts propagation from scratch.
-  for (std::size_t k = 0; k <= k_hops; ++k) {
-    if (k != 0) chain_.add_rate(fast_[k], fast_[0], params_.update_rate);
+  for (std::size_t k = 1; k <= k_hops; ++k) {
+    chain_.add_rate(fast_[k], fast_[0], params_.update_rate);
   }
   for (std::size_t k = 0; k < k_hops; ++k) {
     chain_.add_rate(slow_[k], fast_[0], params_.update_rate);
@@ -75,12 +139,10 @@ MultiHopModel::MultiHopModel(ProtocolKind kind, const MultiHopParams& params)
   // earlier hop (the consistent state and slow-path states), matching the
   // single-hop serialization convention.
   if (mech.soft_timeout) {
-    for (std::size_t j = 0; j + 1 <= k_hops; ++j) {
+    for (std::size_t j = 0; j < k_hops; ++j) {
       const double rate = timeout_rate(params_, j);
       if (rate <= 0.0) continue;
-      // From full consistency (K, fast).
-      if (j < k_hops) chain_.add_rate(fast_[k_hops], slow_[j], rate);
-      // From slow-path states with more than j consistent hops.
+      chain_.add_rate(fast_[k_hops], slow_[j], rate);
       for (std::size_t i = j + 1; i < k_hops; ++i) {
         chain_.add_rate(slow_[i], slow_[j], rate);
       }
@@ -91,8 +153,7 @@ MultiHopModel::MultiHopModel(ProtocolKind kind, const MultiHopParams& params)
   // tears down state; the chain enters the recovery state until the
   // notification crosses the chain and the sender re-triggers.
   if (mech.external_failure_detector) {
-    const double rate =
-        static_cast<double>(k_hops) * params_.false_signal_rate;
+    const double rate = static_cast<double>(k_hops) * params_.false_signal_rate;
     if (rate > 0.0) {
       chain_.add_rate(fast_[k_hops], recovery_, rate);
       for (std::size_t k = 0; k < k_hops; ++k) {
@@ -105,21 +166,16 @@ MultiHopModel::MultiHopModel(ProtocolKind kind, const MultiHopParams& params)
   pi_ = markov::stationary_distribution_from(chain_, fast_[0]);
 }
 
-markov::StateId MultiHopModel::fast_id(std::size_t k) const {
-  if (k >= fast_.size()) throw std::out_of_range("MultiHopModel: k out of range");
-  return fast_[k];
-}
-
-markov::StateId MultiHopModel::slow_id(std::size_t k) const {
-  if (k >= slow_.size()) throw std::out_of_range("MultiHopModel: k out of range");
-  return slow_[k];
-}
-
 double MultiHopModel::stationary(std::size_t k, int s) const {
-  if (s == 0) return pi_[fast_id(k)];
+  if (s == 0) {
+    if (k >= fast_.size()) {
+      throw std::out_of_range("MultiHopModel: k out of range");
+    }
+    return pi_[fast_[k]];
+  }
   if (s == 1) {
     if (k >= slow_.size()) return 0.0;
-    return pi_[slow_id(k)];
+    return pi_[slow_[k]];
   }
   throw std::invalid_argument("MultiHopModel::stationary: s must be 0 or 1");
 }
@@ -129,12 +185,13 @@ double MultiHopModel::recovery_probability() const {
 }
 
 double MultiHopModel::inconsistency() const {
-  return 1.0 - stationary(params_.hops, 0);
+  return 1.0 - stationary(params_.hops(), 0);
 }
 
 double MultiHopModel::hop_inconsistency(std::size_t hop) const {
-  if (hop < 1 || hop > params_.hops) {
-    throw std::out_of_range("MultiHopModel::hop_inconsistency: hop out of range");
+  if (hop < 1 || hop > params_.hops()) {
+    throw std::out_of_range(
+        "MultiHopModel::hop_inconsistency: hop out of range");
   }
   double p = recovery_probability();
   for (std::size_t k = 0; k < hop; ++k) {
@@ -146,17 +203,14 @@ double MultiHopModel::hop_inconsistency(std::size_t hop) const {
 
 MessageRateBreakdown MultiHopModel::message_rates() const {
   const MechanismSet mech = mechanisms(kind_);
-  const double pl = params_.loss;
-  const double q = 1.0 - pl;
-  const double d = params_.delay;
-  const std::size_t k_hops = params_.hops;
+  const std::size_t k_hops = params_.hops();
   MessageRateBreakdown m;
 
   // In every fast-path state one hop-transmission of the in-flight trigger
-  // completes at rate 1/D.
-  double fast_mass = 0.0;
-  for (std::size_t k = 0; k < k_hops; ++k) fast_mass += stationary(k, 0);
-  m.trigger = fast_mass / d;
+  // completes at rate 1/D of the hop it is crossing.
+  for (std::size_t k = 0; k < k_hops; ++k) {
+    m.trigger += stationary(k, 0) / params_.delay[k];
+  }
 
   // Refreshes: the sender emits one per R; each costs the expected number of
   // per-hop transmissions of an end-to-end message.
@@ -164,22 +218,25 @@ MessageRateBreakdown MultiHopModel::message_rates() const {
     m.refresh = params_.expected_hop_transmissions() / params_.refresh_timer;
   }
 
-  double slow_mass = 0.0;
-  for (std::size_t k = 0; k < k_hops; ++k) slow_mass += stationary(k, 1);
-
   if (mech.reliable_trigger) {
     // Hop-local retransmissions in slow-path states, plus one ACK per
     // successful hop delivery (fast-path crossings and repaired hops).
-    const double retransmissions = slow_mass / params_.retrans_timer;
-    const double acks =
-        fast_mass * q / d + slow_mass * q / params_.retrans_timer;
+    double retransmissions = 0.0;
+    double acks = 0.0;
+    for (std::size_t k = 0; k < k_hops; ++k) {
+      const double q = 1.0 - params_.loss[k];
+      retransmissions += stationary(k, 1) / params_.retrans_timer;
+      acks += stationary(k, 0) * q / params_.delay[k] +
+              stationary(k, 1) * q / params_.retrans_timer;
+    }
     m.reliable_trigger = retransmissions + acks;
   }
 
   if (mech.external_failure_detector) {
     // Each recovery event floods ~2K notification/teardown messages across
     // the chain (receiver -> everyone, sender re-trigger pre-flight).
-    const double recovery_events = recovery_probability() * params_.recovery_rate();
+    const double recovery_events =
+        recovery_probability() * params_.recovery_rate();
     m.reliable_removal = recovery_events * 2.0 * static_cast<double>(k_hops);
   }
   return m;
@@ -196,7 +253,7 @@ Metrics MultiHopModel::metrics() const {
 }
 
 Metrics evaluate_multi_hop(ProtocolKind kind, const MultiHopParams& params) {
-  return MultiHopModel(kind, params).metrics();
+  return MultiHopModel(kind, PathParams::from_homogeneous(params)).metrics();
 }
 
 }  // namespace sigcomp::analytic

@@ -35,21 +35,6 @@ TreeParams TreeParams::chain(const MultiHopParams& base) {
   return from_base(base, TreeSpec::chain(base.hops));
 }
 
-TreeParams TreeParams::chain(const HeteroMultiHopParams& path) {
-  path.validate();
-  TreeParams out;
-  out.tree = TreeSpec::chain(path.hops());
-  out.loss = path.loss;
-  out.delay = path.delay;
-  out.loss_process = path.loss_process;
-  out.update_rate = path.update_rate;
-  out.refresh_timer = path.refresh_timer;
-  out.timeout_timer = path.timeout_timer;
-  out.retrans_timer = path.retrans_timer;
-  out.false_signal_rate = path.false_signal_rate;
-  return out;
-}
-
 TreeParams TreeParams::uniform(const MultiHopParams& base, TreeSpec spec) {
   return from_base(base, std::move(spec));
 }
@@ -77,24 +62,18 @@ void TreeParams::set_edge_bursty(std::size_t e, double burst_length,
       loss[e], burst_length, loss_bad);
 }
 
-HeteroMultiHopParams TreeParams::path_params(std::size_t leaf) const {
+PathParams TreeParams::path_params(std::size_t leaf) const {
   if (leaf == 0) {
     throw std::invalid_argument(
         "TreeParams::path_params: the root has no path to itself");
   }
   const std::vector<std::size_t> path = tree.path_edges(leaf);
-  HeteroMultiHopParams out;
+  PathParams out;
   out.loss.reserve(path.size());
   out.delay.reserve(path.size());
   for (const std::size_t e : path) {
     out.loss.push_back(loss[e]);
     out.delay.push_back(delay[e]);
-  }
-  if (!loss_process.empty()) {
-    out.loss_process.reserve(path.size());
-    for (const std::size_t e : path) {
-      out.loss_process.push_back(loss_process[e]);
-    }
   }
   out.update_rate = update_rate;
   out.refresh_timer = refresh_timer;
@@ -113,10 +92,15 @@ void TreeParams::validate() const {
     throw std::invalid_argument(
         "TreeParams: need one loss and one delay per edge");
   }
-  // Delegate the value-domain checks to the chain validation on the
-  // deepest path (every edge lies on at least one root-to-leaf path, so
-  // validating all paths covers all edges; validating one per leaf is
-  // enough and cheap).
+  if (!loss_process.empty()) {
+    if (loss_process.size() != tree.edges()) {
+      throw std::invalid_argument(
+          "TreeParams: loss_process must be empty or have one entry per edge");
+    }
+    for (const sim::LossConfig& config : loss_process) config.validate();
+  }
+  // Delegate the other value-domain checks to the chain validation of each
+  // root-to-leaf path: every edge lies on at least one of them.
   for (const std::size_t leaf : tree.leaves()) {
     path_params(leaf).validate();
   }
@@ -127,12 +111,11 @@ std::vector<TreePathMetrics> evaluate_tree_paths(ProtocolKind kind,
   params.validate();
   std::vector<TreePathMetrics> out;
   for (const std::size_t leaf : params.tree.leaves()) {
-    const HeteroMultiHopParams path = params.path_params(leaf);
-    const HeteroMultiHopModel model(kind, path);
+    PathParams path = params.path_params(leaf);
     TreePathMetrics entry;
     entry.leaf = leaf;
     entry.hops = path.hops();
-    entry.metrics = model.metrics();
+    entry.metrics = MultiHopModel(kind, std::move(path)).metrics();
     out.push_back(entry);
   }
   return out;

@@ -2,9 +2,9 @@
 //
 // The paper's multi-hop model (Sec. III-B) covers a chain.  On a tree, each
 // root-to-leaf path is itself a chain whose per-edge loss/delay come from
-// the edges on that path, so the chain model -- in its heterogeneous form,
-// analytic::HeteroMultiHopModel -- composes per path: evaluate_tree_paths
-// builds one HeteroMultiHopParams per leaf and runs the chain CTMC on it.
+// the edges on that path, so the chain model (analytic::MultiHopModel, whose
+// hops may differ) composes per path: evaluate_tree_paths builds one
+// PathParams per leaf and runs the chain CTMC on it.
 // Paths share their upper edges, which the per-path marginal ignores; the
 // simulator (protocols/tree_run.hpp) measures the same per-leaf quantity on
 // the real shared tree, so model-vs-sim columns stay comparable exactly the
@@ -14,7 +14,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "analytic/hetero_multi_hop.hpp"
+#include "analytic/multi_hop.hpp"
 #include "core/metrics.hpp"
 #include "core/params.hpp"
 #include "core/protocol.hpp"
@@ -24,7 +24,7 @@
 namespace sigcomp::analytic {
 
 /// Per-edge channel characteristics of a signaling tree, mirroring
-/// HeteroMultiHopParams with a TreeSpec in place of the implicit chain.
+/// PathParams with a TreeSpec in place of the implicit chain.
 struct TreeParams {
   TreeSpec tree;              ///< the rooted topology (core/topology.hpp)
   std::vector<double> loss;   ///< per-edge *average* loss probability
@@ -51,12 +51,10 @@ struct TreeParams {
                                            std::size_t depth,
                                            std::size_t receivers = 0);
 
-  /// The degenerate fan-out-1 tree: base.hops hops in a single path.
+  /// The degenerate fan-out-1 tree: base.hops hops in a single path (edge
+  /// i is hop i+1).  An uneven chain sets loss[e]/delay[e] afterwards or
+  /// calls set_edge_bursty.
   [[nodiscard]] static TreeParams chain(const MultiHopParams& base);
-
-  /// A heterogeneous chain: edge i carries hop i's loss, delay and loss
-  /// process (the inverse of path_params on a fan-out-1 tree).
-  [[nodiscard]] static TreeParams chain(const HeteroMultiHopParams& path);
 
   /// An arbitrary shape (e.g. a measured topology replayed from a
   /// parent-vector file) whose every edge carries `base`'s per-hop
@@ -80,10 +78,10 @@ struct TreeParams {
   /// node id; any node works, leaves are the interesting ones).  Throws
   /// std::out_of_range on a bad node and std::invalid_argument on the root
   /// (an empty path has no chain model).
-  [[nodiscard]] HeteroMultiHopParams path_params(std::size_t leaf) const;
+  [[nodiscard]] PathParams path_params(std::size_t leaf) const;
 
-  /// Throws std::invalid_argument on an invalid tree or per-edge vectors
-  /// that do not match it (or values out of domain).
+  /// Throws std::invalid_argument on an invalid tree, per-edge vectors or
+  /// loss processes that do not match it, or values out of domain.
   void validate() const;
 };
 
@@ -91,11 +89,11 @@ struct TreeParams {
 struct TreePathMetrics {
   std::size_t leaf = 0;   ///< node id of the receiver
   std::size_t hops = 0;   ///< path length in edges
-  Metrics metrics;        ///< HeteroMultiHopModel::metrics() of the path
+  Metrics metrics;        ///< MultiHopModel::metrics() of the path
 };
 
-/// Evaluates every root-to-leaf path of the tree through
-/// HeteroMultiHopModel, in increasing leaf-node order.  `kind` must be a
+/// Evaluates every root-to-leaf path of the tree through MultiHopModel,
+/// in increasing leaf-node order.  `kind` must be a
 /// multi-hop protocol (SS, SS+RT, HS).
 [[nodiscard]] std::vector<TreePathMetrics> evaluate_tree_paths(
     ProtocolKind kind, const TreeParams& params);

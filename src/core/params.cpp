@@ -102,20 +102,6 @@ void SingleHopParams::validate() const {
   check_non_negative(false_signal_rate, "false_signal_rate");
 }
 
-double MultiHopParams::recovery_rate() const {
-  return 1.0 / (2.0 * static_cast<double>(hops) * delay);
-}
-
-double MultiHopParams::expected_hop_transmissions() const {
-  const double k = static_cast<double>(hops);
-  if (loss <= 0.0) return k;
-  return (1.0 - std::pow(1.0 - loss, k)) / loss;
-}
-
-double MultiHopParams::end_to_end_delivery_probability() const {
-  return std::pow(1.0 - loss, static_cast<double>(hops));
-}
-
 sim::LossConfig MultiHopParams::loss_config() const {
   return loss_config_of(*this);
 }

@@ -91,7 +91,7 @@ struct MultiHopParams {
   double false_signal_rate = 0.02 * 0.02 * 0.02 * 0.02;
 
   /// Loss-process selection for the simulator (applied to every hop; see
-  /// SingleHopParams and analytic::HeteroMultiHopParams for per-hop
+  /// SingleHopParams, and analytic::TreeParams::set_edge_bursty for per-hop
   /// heterogeneous burstiness).  `loss` stays the per-hop average.
   sim::LossModel loss_model = sim::LossModel::kIid;
   double ge_p_gb = 0.0;       ///< GE: P(good -> bad) per message
@@ -108,18 +108,6 @@ struct MultiHopParams {
   /// per-hop mean `loss` (see SingleHopParams::with_bursty_loss).
   [[nodiscard]] MultiHopParams with_bursty_loss(double burst_length,
                                                 double loss_bad = 1.0) const;
-
-  /// Rate of leaving the HS recovery state: the false-removal notification
-  /// must reach the other receivers and the sender across the chain before a
-  /// fresh trigger is emitted; approximated as 1/(2 K D).
-  [[nodiscard]] double recovery_rate() const;
-
-  /// Expected number of per-hop transmissions of one end-to-end message
-  /// (a refresh): sum_{i=0}^{K-1} (1-pl)^i = (1 - (1-pl)^K) / pl.
-  [[nodiscard]] double expected_hop_transmissions() const;
-
-  /// Probability an end-to-end message survives all K hops.
-  [[nodiscard]] double end_to_end_delivery_probability() const;
 
   /// Throws std::invalid_argument if any parameter is out of domain.
   void validate() const;

@@ -22,7 +22,9 @@ TEST(Evaluator, MultiHopFacadeMatchesDirectModel) {
   const MultiHopParams params = MultiHopParams::reservation_defaults();
   for (const ProtocolKind kind : kMultiHopProtocols) {
     const Metrics facade = evaluate_analytic(kind, params);
-    const Metrics direct = analytic::MultiHopModel(kind, params).metrics();
+    const analytic::PathParams path =
+        analytic::PathParams::from_homogeneous(params);
+    const Metrics direct = analytic::MultiHopModel(kind, path).metrics();
     EXPECT_DOUBLE_EQ(facade.inconsistency, direct.inconsistency) << to_string(kind);
     EXPECT_DOUBLE_EQ(facade.raw_message_rate, direct.raw_message_rate)
         << to_string(kind);

@@ -26,10 +26,8 @@ TreeSimOptions quick_options(std::uint64_t seed = 1) {
   return o;
 }
 
-/// Runs one replication on the chain `params` describes (homogeneous or
-/// per-hop heterogeneous).
-template <class ChainParams>
-TreeSimResult run_chain(ProtocolKind kind, const ChainParams& params,
+/// Runs one replication on the homogeneous chain `params` describes.
+TreeSimResult run_chain(ProtocolKind kind, const MultiHopParams& params,
                         const TreeSimOptions& options) {
   return run_tree(kind, analytic::TreeParams::chain(params), options);
 }
@@ -71,13 +69,12 @@ TEST(MultiHopSim, PerHopBurstyLossIsHeterogeneous) {
   // degrades soft state at equal average loss.
   MultiHopParams base = small_chain();
   base.loss = 0.05;
-  analytic::HeteroMultiHopParams one_bursty =
-      analytic::HeteroMultiHopParams::from_homogeneous(base);
-  one_bursty.set_hop_bursty(2, 10.0);
+  analytic::TreeParams one_bursty = analytic::TreeParams::chain(base);
+  one_bursty.set_edge_bursty(2, 10.0);
   one_bursty.validate();
   EXPECT_EQ(one_bursty.loss_process.size(), 5u);
-  EXPECT_NEAR(one_bursty.hop_loss_config(2).mean_loss(), 0.05, 1e-12);
-  EXPECT_EQ(one_bursty.hop_loss_config(0).model, sim::LossModel::kIid);
+  EXPECT_NEAR(one_bursty.edge_loss_config(2).mean_loss(), 0.05, 1e-12);
+  EXPECT_EQ(one_bursty.edge_loss_config(0).model, sim::LossModel::kIid);
 
   TreeSimOptions options = quick_options(5);
   options.duration = 20000.0;
@@ -88,9 +85,9 @@ TEST(MultiHopSim, PerHopBurstyLossIsHeterogeneous) {
           .metrics.inconsistency;
   EXPECT_GT(all_bursty, 1.3 * iid_inconsistency);
 
-  // End-to-end through the heterogeneous overload: one bursty hop sits
-  // between the all-iid and all-bursty chains.
-  const TreeSimResult mixed = run_chain(ProtocolKind::kSS, one_bursty, options);
+  // End to end, one bursty hop sits between the all-iid and all-bursty
+  // chains.
+  const TreeSimResult mixed = run_tree(ProtocolKind::kSS, one_bursty, options);
   EXPECT_EQ(mixed.node_inconsistency.size(), 5u);
   EXPECT_GT(mixed.metrics.inconsistency, iid_inconsistency);
   EXPECT_LT(mixed.metrics.inconsistency, all_bursty);
@@ -221,7 +218,9 @@ TEST(MultiHopSimReplicated, CoversTheAnalyticModel) {
   const TreeReplicatedResult sim = run_tree_replicated(
       ProtocolKind::kSS, analytic::TreeParams::chain(p), options, 8);
   const double model =
-      analytic::MultiHopModel(ProtocolKind::kSS, p).inconsistency();
+      analytic::MultiHopModel(ProtocolKind::kSS,
+                              analytic::PathParams::from_homogeneous(p))
+          .inconsistency();
   // Within 4 CI half-widths or 30% relative.
   const double tolerance =
       std::max(4.0 * sim.inconsistency.half_width, 0.30 * model);
@@ -243,6 +242,46 @@ TEST(MultiHopSim, SingleHopChainWorks) {
       run_chain(ProtocolKind::kSSRT, p, quick_options(22));
   EXPECT_EQ(result.node_inconsistency.size(), 1u);
   EXPECT_GT(result.messages, 0u);
+}
+
+TEST(HeteroSim, TracksHeteroModelWithABadHop) {
+  // Cross-validation of uneven hops: a simulated chain with a 10x-loss hop
+  // in the middle vs the chain model of the same path.
+  MultiHopParams base = small_chain();
+  base.hops = 6;
+  analytic::TreeParams chain = analytic::TreeParams::chain(base);
+  chain.loss[2] = 0.2;
+  TreeSimOptions options;
+  options.duration = 30000.0;
+  options.seed = 23;
+  for (const ProtocolKind kind : kMultiHopProtocols) {
+    const analytic::MultiHopModel model(kind, chain.path_params(base.hops));
+    const TreeSimResult sim = run_tree(kind, chain, options);
+    // Same order of magnitude: the lumped slow-path approximation diverges
+    // most on a very lossy hop (ACK losses trigger extra hop-by-hop
+    // retransmission cycles the model does not see).
+    EXPECT_GT(sim.metrics.inconsistency, 0.5 * model.inconsistency())
+        << to_string(kind);
+    EXPECT_LT(sim.metrics.inconsistency, 2.2 * model.inconsistency())
+        << to_string(kind);
+  }
+}
+
+TEST(HeteroSim, BadHopShowsUpInPerHopProfile) {
+  MultiHopParams base = small_chain();
+  base.hops = 6;
+  analytic::TreeParams chain = analytic::TreeParams::chain(base);
+  chain.loss[2] = 0.25;  // hop 3 is bad
+  TreeSimOptions options;
+  options.duration = 20000.0;
+  options.seed = 29;
+  const TreeSimResult sim = run_tree(ProtocolKind::kSSRT, chain, options);
+  // The jump across the bad hop dominates the profile's increments.
+  const double jump_bad =
+      sim.node_inconsistency[2] - sim.node_inconsistency[1];
+  const double jump_good =
+      sim.node_inconsistency[1] - sim.node_inconsistency[0];
+  EXPECT_GT(jump_bad, 2.0 * jump_good);
 }
 
 }  // namespace

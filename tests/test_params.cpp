@@ -123,35 +123,6 @@ TEST(MultiHopParams, ReservationDefaultsMatchPaper) {
   EXPECT_NO_THROW(p.validate());
 }
 
-TEST(MultiHopParams, RecoveryRateIsInverseRoundTrip) {
-  MultiHopParams p;
-  p.hops = 10;
-  p.delay = 0.05;
-  EXPECT_NEAR(p.recovery_rate(), 1.0 / (2.0 * 10 * 0.05), 1e-12);
-}
-
-TEST(MultiHopParams, ExpectedHopTransmissionsClosedForm) {
-  MultiHopParams p;
-  p.hops = 20;
-  p.loss = 0.02;
-  EXPECT_NEAR(p.expected_hop_transmissions(),
-              (1.0 - std::pow(0.98, 20.0)) / 0.02, 1e-9);
-}
-
-TEST(MultiHopParams, ExpectedHopTransmissionsLossFreeEqualsHops) {
-  MultiHopParams p;
-  p.hops = 7;
-  p.loss = 0.0;
-  EXPECT_DOUBLE_EQ(p.expected_hop_transmissions(), 7.0);
-}
-
-TEST(MultiHopParams, EndToEndDeliveryProbability) {
-  MultiHopParams p;
-  p.hops = 3;
-  p.loss = 0.1;
-  EXPECT_NEAR(p.end_to_end_delivery_probability(), 0.9 * 0.9 * 0.9, 1e-12);
-}
-
 TEST(MultiHopParams, ValidateRejectsBadValues) {
   const auto expect_invalid = [](auto mutate) {
     MultiHopParams p;

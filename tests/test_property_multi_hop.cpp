@@ -32,7 +32,7 @@ class MultiHopGrid : public ::testing::TestWithParam<Grid> {
 };
 
 TEST_P(MultiHopGrid, ProbabilityMassIsConserved) {
-  const MultiHopModel model(kind(), params());
+  const MultiHopModel model(kind(), PathParams::from_homogeneous(params()));
   double total = model.recovery_probability();
   for (std::size_t k = 0; k <= params().hops; ++k) {
     total += model.stationary(k, 0);
@@ -42,13 +42,13 @@ TEST_P(MultiHopGrid, ProbabilityMassIsConserved) {
 }
 
 TEST_P(MultiHopGrid, InconsistencyIsAProbability) {
-  const MultiHopModel model(kind(), params());
+  const MultiHopModel model(kind(), PathParams::from_homogeneous(params()));
   EXPECT_GT(model.inconsistency(), 0.0);
   EXPECT_LT(model.inconsistency(), 1.0);
 }
 
 TEST_P(MultiHopGrid, HopInconsistencyIsMonotoneInHop) {
-  const MultiHopModel model(kind(), params());
+  const MultiHopModel model(kind(), PathParams::from_homogeneous(params()));
   for (std::size_t hop = 2; hop <= params().hops; ++hop) {
     EXPECT_GE(model.hop_inconsistency(hop),
               model.hop_inconsistency(hop - 1) - 1e-12)
@@ -57,14 +57,14 @@ TEST_P(MultiHopGrid, HopInconsistencyIsMonotoneInHop) {
 }
 
 TEST_P(MultiHopGrid, HopInconsistencyBoundedByTotal) {
-  const MultiHopModel model(kind(), params());
+  const MultiHopModel model(kind(), PathParams::from_homogeneous(params()));
   for (std::size_t hop = 1; hop <= params().hops; ++hop) {
     EXPECT_LE(model.hop_inconsistency(hop), model.inconsistency() + 1e-12);
   }
 }
 
 TEST_P(MultiHopGrid, MessageRatesAreFiniteAndNonNegative) {
-  const MultiHopModel model(kind(), params());
+  const MultiHopModel model(kind(), PathParams::from_homogeneous(params()));
   const MessageRateBreakdown b = model.message_rates();
   for (const double rate : {b.trigger, b.refresh, b.explicit_removal,
                             b.reliable_trigger, b.reliable_removal}) {
@@ -108,8 +108,10 @@ class TriggerPairTest : public MultiHopGrid {
   void TestBody() override {
     const auto& [kind, hops, loss] = point_;
     const MultiHopParams p = grid_params(hops, loss);
-    const double ss = MultiHopModel(kind, p).inconsistency();
-    const double ssrt = MultiHopModel(ProtocolKind::kSSRT, p).inconsistency();
+    const PathParams path = PathParams::from_homogeneous(p);
+    const double ss = MultiHopModel(kind, path).inconsistency();
+    const double ssrt =
+        MultiHopModel(ProtocolKind::kSSRT, path).inconsistency();
     EXPECT_LE(ssrt, ss * (1.0 + 1e-9));
   }
 
@@ -140,7 +142,9 @@ TEST_P(HopMonotonicity, InconsistencyGrowsWithChainLength) {
   for (const std::size_t hops : {1u, 2u, 4u, 8u, 16u}) {
     MultiHopParams p = MultiHopParams::reservation_defaults();
     p.hops = hops;
-    const double inconsistency = MultiHopModel(GetParam(), p).inconsistency();
+    const double inconsistency =
+        MultiHopModel(GetParam(), PathParams::from_homogeneous(p))
+            .inconsistency();
     EXPECT_GT(inconsistency, previous) << "hops " << hops;
     previous = inconsistency;
   }
@@ -151,7 +155,10 @@ TEST_P(HopMonotonicity, MessageRateGrowsWithChainLength) {
   for (const std::size_t hops : {1u, 2u, 4u, 8u, 16u}) {
     MultiHopParams p = MultiHopParams::reservation_defaults();
     p.hops = hops;
-    const double rate = MultiHopModel(GetParam(), p).metrics().raw_message_rate;
+    const double rate =
+        MultiHopModel(GetParam(), PathParams::from_homogeneous(p))
+            .metrics()
+            .raw_message_rate;
     EXPECT_GT(rate, previous) << "hops " << hops;
     previous = rate;
   }

@@ -109,7 +109,8 @@ TEST_P(MultiHopSimVsAnalytic, SimTracksModelShape) {
   const ProtocolKind kind = GetParam();
   MultiHopParams params = MultiHopParams::reservation_defaults();
   params.hops = 10;
-  const analytic::MultiHopModel model(kind, params);
+  const analytic::MultiHopModel model(
+      kind, analytic::PathParams::from_homogeneous(params));
 
   protocols::TreeSimOptions options;
   options.duration = 30000.0;

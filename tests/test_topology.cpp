@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "analytic/hetero_multi_hop.hpp"
 #include "analytic/tree_paths.hpp"
 #include "core/params.hpp"
 #include "core/protocol.hpp"
@@ -85,9 +84,9 @@ TEST(TreeParams, ChainPathParamsMatchHomogeneousChain) {
   base.hops = 4;
   base.loss = 0.03;
   const analytic::TreeParams tree = analytic::TreeParams::chain(base);
-  const analytic::HeteroMultiHopParams path = tree.path_params(4);
-  const analytic::HeteroMultiHopParams expected =
-      analytic::HeteroMultiHopParams::from_homogeneous(base);
+  const analytic::PathParams path = tree.path_params(4);
+  const analytic::PathParams expected =
+      analytic::PathParams::from_homogeneous(base);
   EXPECT_EQ(path.loss, expected.loss);
   EXPECT_EQ(path.delay, expected.delay);
   EXPECT_EQ(path.update_rate, expected.update_rate);
@@ -104,9 +103,8 @@ TEST(TreeParams, PathModelEqualsChainModelOnDegenerateTree) {
   const auto paths = analytic::evaluate_tree_paths(ProtocolKind::kSSRT, tree);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].hops, 3u);
-  const analytic::HeteroMultiHopModel chain_model(
-      ProtocolKind::kSSRT,
-      analytic::HeteroMultiHopParams::from_homogeneous(base));
+  const analytic::MultiHopModel chain_model(
+      ProtocolKind::kSSRT, analytic::PathParams::from_homogeneous(base));
   EXPECT_EQ(paths[0].metrics.inconsistency, chain_model.inconsistency());
 }
 
@@ -139,6 +137,18 @@ TEST(TreeParams, ValidateRejectsMismatchedVectors) {
   analytic::TreeParams tree =
       analytic::TreeParams::balanced(MultiHopParams{}, 2, 1);
   tree.loss.pop_back();
+  EXPECT_THROW(tree.validate(), std::invalid_argument);
+}
+
+TEST(TreeParams, ValidateRejectsABadEdgeLossProcess) {
+  analytic::TreeParams tree =
+      analytic::TreeParams::balanced(MultiHopParams{}, 2, 2);
+  tree.set_edge_bursty(3, 8.0);
+  tree.validate();
+  tree.loss_process[3].p_bg = 1.5;  // not a probability
+  EXPECT_THROW(tree.validate(), std::invalid_argument);
+  tree.set_edge_bursty(3, 8.0);
+  tree.loss_process.pop_back();  // one entry short
   EXPECT_THROW(tree.validate(), std::invalid_argument);
 }
 

@@ -325,9 +325,10 @@ int cmd_multihop(int argc, const char* const* argv) {
 
   if (parser.flag("per-hop")) {
     exp::Table table("per-hop inconsistency", {"hop", "SS", "SS+RT", "HS"});
-    const analytic::MultiHopModel ss(ProtocolKind::kSS, p);
-    const analytic::MultiHopModel ssrt(ProtocolKind::kSSRT, p);
-    const analytic::MultiHopModel hs(ProtocolKind::kHS, p);
+    const analytic::PathParams path = analytic::PathParams::from_homogeneous(p);
+    const analytic::MultiHopModel ss(ProtocolKind::kSS, path);
+    const analytic::MultiHopModel ssrt(ProtocolKind::kSSRT, path);
+    const analytic::MultiHopModel hs(ProtocolKind::kHS, path);
     for (std::size_t hop = 1; hop <= p.hops; ++hop) {
       table.add_row({static_cast<double>(hop), ss.hop_inconsistency(hop),
                      ssrt.hop_inconsistency(hop), hs.hop_inconsistency(hop)});
