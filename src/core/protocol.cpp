@@ -50,33 +50,6 @@ std::string_view to_string(ProtocolKind kind) noexcept {
   return "?";
 }
 
-std::string_view describe(ProtocolKind kind) noexcept {
-  switch (kind) {
-    case ProtocolKind::kSS:
-      return "pure soft-state (best-effort trigger + refresh, timeout removal)";
-    case ProtocolKind::kSSER:
-      return "soft-state with best-effort explicit removal";
-    case ProtocolKind::kSSRT:
-      return "soft-state with reliable triggers and removal notification";
-    case ProtocolKind::kSSRTR:
-      return "soft-state with reliable triggers and reliable removal";
-    case ProtocolKind::kHS:
-      return "hard-state (reliable setup/update/removal, external failure detector)";
-  }
-  return "?";
-}
-
-std::optional<ProtocolKind> parse_protocol(std::string_view name) noexcept {
-  for (const ProtocolKind kind : kAllProtocols) {
-    if (to_string(kind) == name) return kind;
-  }
-  return std::nullopt;
-}
-
-bool is_soft_state(ProtocolKind kind) noexcept {
-  return kind != ProtocolKind::kHS;
-}
-
 bool supports_multi_hop(ProtocolKind kind) noexcept {
   for (const ProtocolKind supported : kMultiHopProtocols) {
     if (kind == supported) return true;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <string_view>
 
 namespace sigcomp {
@@ -64,16 +63,6 @@ struct MechanismSet {
 
 /// Canonical short name ("SS", "SS+ER", "SS+RT", "SS+RTR", "HS").
 [[nodiscard]] std::string_view to_string(ProtocolKind kind) noexcept;
-
-/// Longer human-readable description.
-[[nodiscard]] std::string_view describe(ProtocolKind kind) noexcept;
-
-/// Parses a canonical short name (case-sensitive).  Returns nullopt on
-/// unknown input.
-[[nodiscard]] std::optional<ProtocolKind> parse_protocol(std::string_view name) noexcept;
-
-/// True for protocols whose state survives only while refreshed (all but HS).
-[[nodiscard]] bool is_soft_state(ProtocolKind kind) noexcept;
 
 /// True when the multi-hop machinery (chain/tree nodes, chain CTMC models,
 /// session farm) implements `kind`.  The single gate point for every

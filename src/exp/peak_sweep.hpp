@@ -14,8 +14,10 @@ namespace sigcomp::exp {
 
 /// The most sessions in flight at once, over every session's closed
 /// interval [begin, completion].  A start at exactly an end's time counts
-/// as overlapping: a session is in flight from its begin() through its
-/// completion event.
+/// as overlapping: a session is in flight from its begin() through the
+/// completion time it records.  The farm records a session's window end
+/// there, even for a tree session with teardown, whose completion event
+/// comes one grace period later.
 ///
 /// `starts` and `ends` hold the sessions' begin and completion times (each
 /// session's end >= its start), cut into runs at `bounds`: run r is

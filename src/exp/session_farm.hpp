@@ -159,7 +159,10 @@ struct SessionFarmResult : FarmCounters {
   /// size: each shard leaves its sessions' [begin, completion] endpoints as
   /// two sorted runs, and the reduce sweeps all runs in parallel chunks of
   /// the time axis (exp::peak_in_flight), so the sharded value equals the
-  /// single-shard truth (tests lock this).
+  /// single-shard truth (tests lock this).  A session's recorded completion
+  /// is its window end: with SessionFarmOptions::teardown a tree session
+  /// completes one grace period later but still records its window end, so
+  /// teardown leaves the peak unchanged (the grace period is not counted).
   std::size_t peak_sessions_in_flight = 0;
   /// Leaf-churn outcome summed across sessions in global session order
   /// (all-zero when churn is disabled).

@@ -355,5 +355,24 @@ TEST(FarmDiff, ShardedPeakWithTeardownMatchesOneSessionShards) {
   }
 }
 
+/// Teardown moves a tree session's completion event one grace period past
+/// its window end, but the session records the window end, and teardown
+/// draws nothing from the lifecycle stream that places the window, so the
+/// exact peak is the same farm's peak without teardown.
+TEST(FarmDiff, TeardownLeavesTheTreePeakAtTheWindowEnds) {
+  const analytic::TreeParams params =
+      analytic::TreeParams::balanced(diff_hop_params(), 2, 2);
+  SessionFarmOptions options = diff_farm();
+  options.threads = 2;
+  options.shard_size = 7;
+  const SessionFarmResult silent =
+      run_session_farm(ProtocolKind::kSSRT, params, options);
+  options.teardown = true;
+  const SessionFarmResult torn_down =
+      run_session_farm(ProtocolKind::kSSRT, params, options);
+  EXPECT_GT(torn_down.teardown_messages, 0u);
+  EXPECT_EQ(torn_down.peak_sessions_in_flight, silent.peak_sessions_in_flight);
+}
+
 }  // namespace
 }  // namespace sigcomp::exp

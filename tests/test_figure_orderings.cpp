@@ -103,5 +103,70 @@ TEST(FigureOrdering, Fig04HardStateCostsLessOnlyForLongSessions) {
   EXPECT_EQ(lifetime[2], 31.6228);
 }
 
+TEST(FigureOrdering, Fig17HopsFurtherFromTheSenderAreStalerMoreOften) {
+  // The paper's discussion of Fig. 17 (Sec. III-B): the farther a hop is
+  // from the sender, the larger the fraction of time its state is
+  // inconsistent, since an update or repair reaches it only after crossing
+  // every earlier hop.  Checked on the three analytic columns; the
+  // simulated ones carry sampling noise.
+  const Figure fig = read_figure("fig17_perhop.txt");
+  ASSERT_EQ(fig.rows, 20u);
+  for (const char* protocol : {"SS", "SS+RT", "HS"}) {
+    const std::vector<double>& inconsistency = fig.column(protocol);
+    for (std::size_t r = 1; r < fig.rows; ++r) {
+      EXPECT_GT(inconsistency[r], inconsistency[r - 1])
+          << protocol << " hop " << fig.column("hop")[r];
+    }
+  }
+}
+
+TEST(FigureOrdering, Fig18LongerPathsCostConsistency) {
+  // The paper's discussion of Fig. 18(a): end-to-end inconsistency grows
+  // with the number of hops K for every protocol, because each added hop
+  // adds delay and another chance of loss.
+  const Figure fig = read_figure("fig18_hops.txt");
+  ASSERT_EQ(fig.rows, 20u);
+  for (const char* protocol : {"I(SS)", "I(SS+RT)", "I(HS)"}) {
+    const std::vector<double>& inconsistency = fig.column(protocol);
+    for (std::size_t r = 1; r < fig.rows; ++r) {
+      EXPECT_GT(inconsistency[r], inconsistency[r - 1])
+          << protocol << " K " << fig.column("hops")[r];
+    }
+  }
+}
+
+TEST(FigureOrdering, Fig18HopByHopReliabilityBuysConsistencyCheaply) {
+  // The paper's discussion of Fig. 18: hop-by-hop reliable triggers give
+  // SS+RT a much lower inconsistency ratio than SS at a slightly higher
+  // message rate, and HS, which sends no refreshes, has the lowest
+  // message rate.  In the pinned figure, at every K: I(SS) > I(SS+RT) and
+  // rate(HS) < rate(SS) < rate(SS+RT).
+  const Figure fig = read_figure("fig18_hops.txt");
+  ASSERT_EQ(fig.rows, 20u);
+  for (std::size_t r = 0; r < fig.rows; ++r) {
+    const double hops = fig.column("hops")[r];
+    EXPECT_GT(fig.column("I(SS)")[r], fig.column("I(SS+RT)")[r])
+        << "K " << hops;
+    EXPECT_LT(fig.column("rate(HS)")[r], fig.column("rate(SS)")[r])
+        << "K " << hops;
+    EXPECT_LT(fig.column("rate(SS)")[r], fig.column("rate(SS+RT)")[r])
+        << "K " << hops;
+  }
+}
+
+TEST(FigureOrdering, Fig19HardStateIgnoresTheRefreshTimer) {
+  // Fig. 19's header comment (bench/fig19_mh_refresh.cpp), after the
+  // paper: HS uses no refresh, so both of its curves are flat lines in R.
+  const Figure fig = read_figure("fig19_mh_refresh.txt");
+  ASSERT_EQ(fig.rows, 17u);
+  for (const char* column : {"I(HS)", "rate(HS)"}) {
+    const std::vector<double>& values = fig.column(column);
+    for (std::size_t r = 1; r < fig.rows; ++r) {
+      EXPECT_EQ(values[r], values[0])
+          << column << " R " << fig.column("refresh_s")[r];
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sigcomp

@@ -13,25 +13,6 @@ TEST(Protocol, NamesMatchPaper) {
   EXPECT_EQ(to_string(ProtocolKind::kHS), "HS");
 }
 
-TEST(Protocol, ParseRoundTrips) {
-  for (const ProtocolKind kind : kAllProtocols) {
-    EXPECT_EQ(parse_protocol(to_string(kind)), kind);
-  }
-  EXPECT_EQ(parse_protocol("nope"), std::nullopt);
-  EXPECT_EQ(parse_protocol(""), std::nullopt);
-  EXPECT_EQ(parse_protocol("ss"), std::nullopt);  // case-sensitive
-}
-
-TEST(Protocol, DescriptionsAreDistinct) {
-  for (const ProtocolKind a : kAllProtocols) {
-    for (const ProtocolKind b : kAllProtocols) {
-      if (a != b) {
-        EXPECT_NE(describe(a), describe(b));
-      }
-    }
-  }
-}
-
 TEST(Protocol, PureSoftStateMechanisms) {
   const MechanismSet m = mechanisms(ProtocolKind::kSS);
   EXPECT_TRUE(m.refresh);
@@ -76,14 +57,6 @@ TEST(Protocol, HardStateHasNoSoftMechanisms) {
   EXPECT_TRUE(m.reliable_trigger);
   EXPECT_TRUE(m.reliable_removal);
   EXPECT_TRUE(m.external_failure_detector);
-}
-
-TEST(Protocol, SoftStateClassification) {
-  EXPECT_TRUE(is_soft_state(ProtocolKind::kSS));
-  EXPECT_TRUE(is_soft_state(ProtocolKind::kSSER));
-  EXPECT_TRUE(is_soft_state(ProtocolKind::kSSRT));
-  EXPECT_TRUE(is_soft_state(ProtocolKind::kSSRTR));
-  EXPECT_FALSE(is_soft_state(ProtocolKind::kHS));
 }
 
 TEST(Protocol, MultiHopSubsetIsConsistent) {
