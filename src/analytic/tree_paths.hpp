@@ -93,8 +93,8 @@ struct TreePathMetrics {
 };
 
 /// Evaluates every root-to-leaf path of the tree through MultiHopModel,
-/// in increasing leaf-node order.  `kind` must be a
-/// multi-hop protocol (SS, SS+RT, HS).
+/// in increasing leaf-node order.  `kind` must be a multi-hop protocol
+/// (SS, SS+RT, HS).
 [[nodiscard]] std::vector<TreePathMetrics> evaluate_tree_paths(
     ProtocolKind kind, const TreeParams& params);
 

@@ -257,7 +257,8 @@ const MultiHopParams kHomogeneous = [] {
 double eq9_timeout_rate(const MultiHopParams& p, std::size_t j) {
   const double q = 1.0 - p.loss;
   const double n = p.timeout_timer / p.refresh_timer;
-  const double upper = std::pow(1.0 - std::pow(q, static_cast<double>(j + 1)), n);
+  const double upper =
+      std::pow(1.0 - std::pow(q, static_cast<double>(j + 1)), n);
   const double lower =
       j == 0 ? 0.0 : std::pow(1.0 - std::pow(q, static_cast<double>(j)), n);
   return (upper - lower) / p.timeout_timer;
@@ -282,7 +283,8 @@ TEST(HeteroModel, ReducesToHomogeneousModelExactly) {
       // retransmission if it survives one.
       double repair = 0.0;
       if (mech.refresh) {
-        repair += std::pow(q, static_cast<double>(k + 1)) / kHomogeneous.refresh_timer;
+        repair += std::pow(q, static_cast<double>(k + 1)) /
+                  kHomogeneous.refresh_timer;
       }
       if (mech.reliable_trigger) repair += q / kHomogeneous.retrans_timer;
       EXPECT_NEAR(chain.rate(slow(k), k + 1), repair, 1e-12)
